@@ -13,29 +13,21 @@ const DefaultDenseLimit = 4096
 //
 // denseLimit selects the backing table: points counts up to the limit use
 // the dense triangular array, larger inputs the sparse hash rows. Pass a
-// negative limit to force sparse, or use DefaultDenseLimit.
+// negative limit to force sparse, or use DefaultDenseLimit. The dense table
+// counts the same pairs grouped by output row (countDense, one worker).
 func Compute(nb *Neighbors, denseLimit int) Table {
 	if nb.N() <= denseLimit {
-		t := NewDenseTable(nb.N())
-		countPairs(nb, func(p, q int32) { t.Add(int(p), int(q), 1) })
-		return t
+		return countDense(nb, 1)
 	}
 	t := NewSparseTable(nb.N())
-	countPairs(nb, func(p, q int32) { t.Add(int(p), int(q), 1) })
-	return t
-}
-
-// countPairs enumerates, for every point, all unordered pairs of its
-// neighbors — the inner double loop of Figure 4.
-func countPairs(nb *Neighbors, add func(p, q int32)) {
-	for i := range nb.Lists {
-		l := nb.Lists[i]
+	for _, l := range nb.Lists {
 		for a := 0; a < len(l)-1; a++ {
 			for b := a + 1; b < len(l); b++ {
-				add(l[a], l[b])
+				t.Add(int(l[a]), int(l[b]), 1)
 			}
 		}
 	}
+	return t
 }
 
 // ComputeDenseMatrix squares the boolean adjacency matrix directly — the

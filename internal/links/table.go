@@ -38,8 +38,12 @@ func (t *DenseTable) idx(i, j int) int {
 	if j >= t.n || i < 0 {
 		panic(fmt.Sprintf("links: index (%d,%d) out of range n=%d", i, j, t.n))
 	}
-	return i*t.n - i*(i-1)/2 + (j - i)
+	return t.rowBase(i) + (j - i)
 }
+
+// rowBase is the offset of link(i, i) in vals; row i's entries for
+// j = i..n-1 follow it contiguously.
+func (t *DenseTable) rowBase(i int) int { return i*t.n - i*(i-1)/2 }
 
 // N returns the number of points.
 func (t *DenseTable) N() int { return t.n }
@@ -50,14 +54,25 @@ func (t *DenseTable) Get(i, j int) int { return int(t.vals[t.idx(i, j)]) }
 // Add increments link(i, j) by d.
 func (t *DenseTable) Add(i, j, d int) { t.vals[t.idx(i, j)] += uint32(d) }
 
-// ForEach visits the non-zero links of point i in ascending j order.
+// ForEach visits the non-zero links of point i in ascending j order: first
+// column i of the rows above it (link(j, i) sits at rowBase(j) + i - j, a
+// stride that shrinks by one per row), then row i's own contiguous segment.
 func (t *DenseTable) ForEach(i int, fn func(j, links int)) {
-	for j := 0; j < t.n; j++ {
-		if j == i {
-			continue
-		}
-		if v := t.vals[t.idx(i, j)]; v > 0 {
+	n := t.n
+	if i < 0 || i >= n {
+		panic(fmt.Sprintf("links: point %d out of range n=%d", i, n))
+	}
+	k := i
+	for j := 0; j < i; j++ {
+		if v := t.vals[k]; v > 0 {
 			fn(j, int(v))
+		}
+		k += n - 1 - j
+	}
+	base := t.rowBase(i)
+	for d, v := range t.vals[base+1 : base+n-i] {
+		if v > 0 {
+			fn(i+1+d, int(v))
 		}
 	}
 }
@@ -66,7 +81,7 @@ func (t *DenseTable) ForEach(i int, fn func(j, links int)) {
 func (t *DenseTable) NonZeroPairs() int {
 	c := 0
 	for i := 0; i < t.n; i++ {
-		base := i*t.n - i*(i-1)/2
+		base := t.rowBase(i)
 		for j := i + 1; j < t.n; j++ {
 			if t.vals[base+(j-i)] > 0 {
 				c++

@@ -294,15 +294,18 @@ func newState(table links.Table, cfg Config) *state {
 	for i := 0; i < n; i++ {
 		st.cs[i] = &clusterState{size: 1, members: []int32{int32(i)}}
 	}
+	// One table pass per point gathers its links into a reused buffer, so
+	// the degree is known before the map is sized.
+	var row [][2]int32
 	for i := 0; i < n; i++ {
 		c := st.cs[i]
-		var deg int
-		table.ForEach(i, func(j, l int) { deg++ })
-		c.links = make(map[int32]int32, deg)
-		table.ForEach(i, func(j, l int) {
-			c.links[int32(j)] = int32(l)
-			c.heap.Push(iheap.LazyEntry{Key: int32(j), Pri: st.goodness(l, 1, 1)})
-		})
+		row = row[:0]
+		table.ForEach(i, func(j, l int) { row = append(row, [2]int32{int32(j), int32(l)}) })
+		c.links = make(map[int32]int32, len(row))
+		for _, e := range row {
+			c.links[e[0]] = e[1]
+			c.heap.Push(iheap.LazyEntry{Key: e[0], Pri: st.goodness(int(e[1]), 1, 1)})
+		}
 		c.best = st.localBest(i)
 		st.global.Push(iheap.LazyEntry{Key: int32(i), Rev: 0, Pri: c.best})
 	}

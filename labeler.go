@@ -23,6 +23,11 @@ import (
 // construction, so concurrent Assign calls are safe. For serving across
 // process boundaries, Snapshot persists the model and LoadLabeler (or the
 // rockd daemon) revives it.
+//
+// A Labeler over a named similarity assigns through the same compiled
+// posting-list index the serving layer uses (model.Compile), which returns
+// scores bit-identical to the scan of Section 4.6; only custom similarity
+// functions scan every labeled transaction.
 type Labeler struct {
 	sets    []label.Set
 	txns    []Transaction
@@ -31,6 +36,9 @@ type Labeler struct {
 	theta   float64
 	fTheta  float64
 	schema  *Schema
+	// asg is the compiled model; nil for custom similarities (and models
+	// too degenerate to snapshot), which take the scan path.
+	asg *model.Assigner
 }
 
 // Snapshot is the persisted form of a Labeler: the labeled sets, their
@@ -85,14 +93,33 @@ func NewLabeler(txns []Transaction, res *Result, cfg Config, lcfg LabelerConfig)
 	if err != nil {
 		return nil, err
 	}
-	return &Labeler{
+	l := &Labeler{
 		sets:    sets,
 		txns:    txns,
 		sim:     cfg.txnSim(),
 		simName: sim.NameOf(cfg.txnSim()),
 		theta:   cfg.Theta,
 		fTheta:  fTheta,
-	}, nil
+	}
+	l.compile()
+	return l, nil
+}
+
+// compile builds the Labeler's posting-list assigner from its snapshot. A
+// Labeler that cannot be snapshotted — a custom similarity function, or a
+// model Snapshot rejects, such as an empty labeled set — keeps assigning by
+// scan, as it always could.
+func (l *Labeler) compile() {
+	if l.simName == "" {
+		return
+	}
+	snap, err := l.Snapshot()
+	if err != nil {
+		return
+	}
+	if asg, err := model.Compile(snap); err == nil {
+		l.asg = asg
+	}
 }
 
 // Assign labels one transaction, returning a cluster index into the
@@ -107,6 +134,9 @@ func (l *Labeler) Assign(t Transaction) int {
 // count — the confidence score the serving layer reports. The score is 0
 // for outliers.
 func (l *Labeler) AssignScore(t Transaction) (int, float64) {
+	if l.asg != nil {
+		return l.asg.Assign(t)
+	}
 	return label.AssignScore(l.sets, func(q int) bool {
 		return l.sim(t, l.txns[q]) >= l.theta
 	})
@@ -225,10 +255,13 @@ func LoadLabelerFile(path string) (*Labeler, error) {
 	return labelerFromSnapshot(snap)
 }
 
+// labelerFromSnapshot revives a Labeler through model.Compile, which
+// resolves every snapshot similarity — including the schema-weighted
+// "wjaccard", whose weight table only the snapshot's schema carries.
 func labelerFromSnapshot(snap *Snapshot) (*Labeler, error) {
-	simF, ok := sim.TxnByName(snap.SimName)
-	if !ok {
-		return nil, fmt.Errorf("rock: snapshot uses unknown similarity %q", snap.SimName)
+	asg, err := model.Compile(snap)
+	if err != nil {
+		return nil, err
 	}
 	sets := make([]label.Set, len(snap.Sets))
 	for i, s := range snap.Sets {
@@ -237,10 +270,10 @@ func labelerFromSnapshot(snap *Snapshot) (*Labeler, error) {
 	return &Labeler{
 		sets:    sets,
 		txns:    snap.Txns,
-		sim:     simF,
 		simName: snap.SimName,
 		theta:   snap.Theta,
 		fTheta:  snap.FTheta,
 		schema:  snap.Schema,
+		asg:     asg,
 	}, nil
 }

@@ -3,13 +3,19 @@ package rock_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"rock"
 	"rock/internal/datagen"
+	"rock/internal/dataset"
+	"rock/internal/label"
+	"rock/internal/model"
+	"rock/internal/sim"
 )
 
 func TestLabelerAssignsNewTransactions(t *testing.T) {
@@ -259,5 +265,82 @@ func TestLabelerSnapshotRejectsCustomSimilarity(t *testing.T) {
 	}
 	if _, err := lab.Snapshot(); err == nil {
 		t.Fatal("custom similarity snapshotted")
+	}
+}
+
+// TestLabelerWeightedSnapshotRoundTrip: a schema-weighted "wjaccard"
+// snapshot loads into a Labeler — the measure is rebuilt from the schema's
+// per-value weights — and assigns exactly like a weighted-Jaccard scan, both
+// straight from LoadLabeler and after a SaveSnapshot/LoadLabelerFile cycle.
+func TestLabelerWeightedSnapshotRoundTrip(t *testing.T) {
+	schema := dataset.NewSchema(
+		dataset.Attribute{Name: "color", Domain: []string{"red", "green", "blue"}, Weights: []float64{1, 4, 8}},
+		dataset.Attribute{Name: "size", Domain: []string{"s", "m", "l"}},
+		dataset.Attribute{Name: "shape", Domain: []string{"round", "square"}, Weights: []float64{3, 0.5}},
+	)
+	// The encoder numbers items per attribute block in domain order.
+	wj := sim.WeightedJaccard(sim.ItemWeights{1, 4, 8, 1, 1, 1, 3, 0.5})
+	enc := dataset.NewEncoder(schema)
+	rng := rand.New(rand.NewSource(9))
+	randomRecord := func() rock.Transaction {
+		rec := dataset.NewRecord(len(schema.Attrs))
+		for a, attr := range schema.Attrs {
+			if rng.Intn(5) > 0 {
+				rec[a] = rng.Intn(len(attr.Domain))
+			}
+		}
+		return enc.Encode(rec)
+	}
+
+	snap := &rock.Snapshot{Theta: 0.3, FTheta: rock.DefaultF(0.3), SimName: sim.WeightedJaccardName, Schema: schema}
+	for i := 0; i < 30; i++ {
+		snap.Txns = append(snap.Txns, randomRecord())
+	}
+	sets := make([]label.Set, 3)
+	for c := range sets {
+		var pts []int
+		for q := c; q < len(snap.Txns); q += 3 {
+			pts = append(pts, q)
+		}
+		norm := math.Pow(float64(len(pts)+1), snap.FTheta)
+		snap.Sets = append(snap.Sets, model.Set{Cluster: c, Norm: norm, Points: pts})
+		sets[c] = label.NewSet(c, pts, norm)
+	}
+
+	var buf bytes.Buffer
+	if err := snap.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lab, err := rock.LoadLabeler(&buf)
+	if err != nil {
+		t.Fatalf("wjaccard snapshot rejected: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "weighted.rockm")
+	if err := lab.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := rock.LoadLabelerFile(path)
+	if err != nil {
+		t.Fatalf("wjaccard snapshot file rejected: %v", err)
+	}
+	if !reflect.DeepEqual(back.Schema(), schema) {
+		t.Fatalf("schema weights lost in round trip: %+v", back.Schema())
+	}
+
+	differs := 0
+	for i := 0; i < 300; i++ {
+		p := randomRecord()
+		wantC, wantS := label.AssignScore(sets, func(q int) bool { return wj(p, snap.Txns[q]) >= snap.Theta })
+		for name, l := range map[string]*rock.Labeler{"LoadLabeler": lab, "LoadLabelerFile": back} {
+			if gotC, gotS := l.AssignScore(p); gotC != wantC || gotS != wantS {
+				t.Fatalf("%s on %v: (%d, %v), weighted scan (%d, %v)", name, p, gotC, gotS, wantC, wantS)
+			}
+		}
+		if c, s := label.AssignScore(sets, func(q int) bool { return sim.Jaccard(p, snap.Txns[q]) >= snap.Theta }); c != wantC || s != wantS {
+			differs++
+		}
+	}
+	if differs == 0 {
+		t.Fatal("no probe assigns differently under plain Jaccard; the weights are not exercised")
 	}
 }

@@ -110,9 +110,9 @@ func ClusterLarge(txns []Transaction, cfg PipelineConfig) (*LargeResult, error) 
 	out.Labeler = lab
 
 	out.Assign = make([]int, len(txns))
-	inSample := make(map[int]int, len(idx)) // original index -> sample pos
-	for i, p := range idx {
-		inSample[p] = i
+	inSample := make([]bool, len(txns))
+	for _, p := range idx {
+		inSample[p] = true
 	}
 	// Sampled points keep their sample-cluster assignment.
 	for i := range out.Assign {
@@ -127,7 +127,7 @@ func ClusterLarge(txns []Transaction, cfg PipelineConfig) (*LargeResult, error) 
 	// work stripes across workers.
 	var todo []int
 	for p := range txns {
-		if _, ok := inSample[p]; !ok {
+		if !inSample[p] {
 			todo = append(todo, p)
 		}
 	}
@@ -244,9 +244,9 @@ func ClusterScanner(open func() (store.Scanner, io.Closer, error), cfg PipelineC
 	for i := range out.Assign {
 		out.Assign[i] = OutlierCluster
 	}
-	inSample := make(map[int]int, len(idx))
-	for i, p := range idx {
-		inSample[p] = i
+	inSample := make([]bool, total)
+	for _, p := range idx {
+		inSample[p] = true
 	}
 	for c, members := range res.Clusters {
 		for _, m := range members {
@@ -272,7 +272,7 @@ func ClusterScanner(open func() (store.Scanner, io.Closer, error), cfg PipelineC
 		if pos >= total {
 			return nil, fmt.Errorf("rock: stream grew between passes (%d > %d)", pos+1, total)
 		}
-		if _, ok := inSample[pos]; !ok {
+		if !inSample[pos] {
 			out.Assign[pos] = lab.Assign(t)
 			out.Labeled++
 		}
@@ -301,12 +301,14 @@ func buildLabeler(sub []Transaction, res *Result, cfg PipelineConfig, rng *rand.
 		return nil, err
 	}
 	simF := cfg.Cluster.txnSim()
-	return &Labeler{
+	l := &Labeler{
 		sets:    sets,
 		txns:    sub,
 		sim:     simF,
 		simName: sim.NameOf(simF),
 		theta:   cfg.Cluster.Theta,
 		fTheta:  fTheta,
-	}, nil
+	}
+	l.compile()
+	return l, nil
 }
