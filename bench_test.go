@@ -18,6 +18,7 @@ import (
 
 	"rock"
 	"rock/internal/datagen"
+	"rock/internal/dataset"
 	"rock/internal/experiments"
 	"rock/internal/links"
 	"rock/internal/rockcore"
@@ -320,6 +321,27 @@ func BenchmarkLinksPath2Vs3(b *testing.B) {
 			links.ComputePath3(nb)
 		}
 	})
+}
+
+// BenchmarkMergeLoopMushroom clusters the Table 3 records from their
+// precomputed θ = 0.8 neighbor lists with the Table 3 configuration (K = 20,
+// dense link table), so each iteration times the link table and the
+// Figure 3 merge loop without the neighbor join.
+func BenchmarkMergeLoopMushroom(b *testing.B) {
+	md := datagen.Mushroom(datagen.DefaultMushroomConfig(), rand.New(rand.NewSource(experiments.DefaultSeed)))
+	txns := dataset.NewEncoder(md.Schema).EncodeAll(md.Records)
+	cfg := experiments.MushroomROCKConfig
+	nb := simjoin.NewSource(txns, sim.Jaccard).ComputeNeighbors(links.Config{Theta: cfg.Theta})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := rockcore.ClusterNeighbors(nb, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Clusters) < cfg.K {
+			b.Fatalf("clusters = %d, want at least %d", len(res.Clusters), cfg.K)
+		}
+	}
 }
 
 // Ablation: raw cross-link goodness (the "naive approach" of Section 4.2)

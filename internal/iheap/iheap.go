@@ -1,9 +1,10 @@
-// Package iheap implements the addressable max-heap that ROCK's clustering
-// algorithm (Figure 3 of the paper) relies on. Both the per-cluster local
-// heaps q[i] and the global heap Q need, beyond the usual push/pop-max,
-// deletion and priority update of an arbitrary element identified by a
-// cluster id — operations container/heap does not expose directly — so the
-// structure is implemented from scratch with an id→position index.
+// Package iheap implements the heaps that ROCK's clustering algorithm
+// (Figure 3 of the paper) relies on. The global heap Q needs, beyond the
+// usual push/pop-max, deletion and priority update of an arbitrary element
+// identified by a cluster id — operations container/heap does not expose
+// directly — so Heap is implemented from scratch with an id→position index.
+// The per-cluster local heaps q[i] only ever gain entries and lose dead
+// ones, so they use the lighter lazy-deletion Lazy.
 package iheap
 
 import "fmt"
@@ -15,21 +16,25 @@ type entry struct {
 
 // Heap is a max-heap of (key, priority) pairs supporting O(log n) push,
 // pop-max, remove-by-key and update-by-key. Keys must be unique within a
-// heap. Ties in priority are broken by smaller key, which makes every
-// consumer of the heap deterministic.
+// heap and non-negative: the position index is a dense slice addressed by
+// key, sized to the largest key pushed, which suits keys drawn from a
+// compact id space such as ROCK's cluster ids (< 2n). Ties in priority are
+// broken by smaller key, which makes every consumer of the heap
+// deterministic.
 type Heap struct {
 	es  []entry
-	pos map[int]int // key -> index in es
+	pos []int32 // key -> 1 + index in es; 0 = absent
 }
 
 // New returns an empty heap.
 func New() *Heap {
-	return &Heap{pos: make(map[int]int)}
+	return &Heap{}
 }
 
-// NewWithCapacity returns an empty heap with preallocated space for n items.
+// NewWithCapacity returns an empty heap with preallocated space for n items
+// with keys below n.
 func NewWithCapacity(n int) *Heap {
-	return &Heap{es: make([]entry, 0, n), pos: make(map[int]int, n)}
+	return &Heap{es: make([]entry, 0, n), pos: make([]int32, n)}
 }
 
 // Len returns the number of elements in the heap.
@@ -38,29 +43,40 @@ func (h *Heap) Len() int { return len(h.es) }
 // Empty reports whether the heap has no elements.
 func (h *Heap) Empty() bool { return len(h.es) == 0 }
 
-// Has reports whether key is present.
-func (h *Heap) Has(key int) bool {
-	_, ok := h.pos[key]
-	return ok
+// index returns the position of key in es, or -1 when absent.
+func (h *Heap) index(key int) int {
+	if key < 0 || key >= len(h.pos) {
+		return -1
+	}
+	return int(h.pos[key]) - 1
 }
+
+// Has reports whether key is present.
+func (h *Heap) Has(key int) bool { return h.index(key) >= 0 }
 
 // Priority returns the priority of key and whether it is present.
 func (h *Heap) Priority(key int) (float64, bool) {
-	i, ok := h.pos[key]
-	if !ok {
+	i := h.index(key)
+	if i < 0 {
 		return 0, false
 	}
 	return h.es[i].pri, true
 }
 
-// Push inserts key with the given priority. It panics if key is already in
-// the heap; use Update to change an existing priority.
+// Push inserts key with the given priority. It panics if key is negative or
+// already in the heap; use Update to change an existing priority.
 func (h *Heap) Push(key int, pri float64) {
-	if _, ok := h.pos[key]; ok {
+	if key < 0 {
+		panic(fmt.Sprintf("iheap: negative key %d", key))
+	}
+	if h.index(key) >= 0 {
 		panic(fmt.Sprintf("iheap: duplicate key %d", key))
 	}
+	if key >= len(h.pos) {
+		h.pos = append(h.pos, make([]int32, key+1-len(h.pos))...)
+	}
 	h.es = append(h.es, entry{key, pri})
-	h.pos[key] = len(h.es) - 1
+	h.pos[key] = int32(len(h.es))
 	h.up(len(h.es) - 1)
 }
 
@@ -85,8 +101,8 @@ func (h *Heap) PopMax() (key int, pri float64, ok bool) {
 
 // Remove deletes key from the heap, reporting whether it was present.
 func (h *Heap) Remove(key int) bool {
-	i, ok := h.pos[key]
-	if !ok {
+	i := h.index(key)
+	if i < 0 {
 		return false
 	}
 	h.removeAt(i)
@@ -95,8 +111,8 @@ func (h *Heap) Remove(key int) bool {
 
 // Update changes the priority of key, reporting whether it was present.
 func (h *Heap) Update(key int, pri float64) bool {
-	i, ok := h.pos[key]
-	if !ok {
+	i := h.index(key)
+	if i < 0 {
 		return false
 	}
 	old := h.es[i].pri
@@ -137,10 +153,10 @@ func (h *Heap) less(a, b entry) bool {
 
 func (h *Heap) removeAt(i int) {
 	last := len(h.es) - 1
-	delete(h.pos, h.es[i].key)
+	h.pos[h.es[i].key] = 0
 	if i != last {
 		h.es[i] = h.es[last]
-		h.pos[h.es[i].key] = i
+		h.pos[h.es[i].key] = int32(i + 1)
 	}
 	h.es = h.es[:last]
 	if i < len(h.es) {
@@ -152,8 +168,8 @@ func (h *Heap) removeAt(i int) {
 
 func (h *Heap) swap(i, j int) {
 	h.es[i], h.es[j] = h.es[j], h.es[i]
-	h.pos[h.es[i].key] = i
-	h.pos[h.es[j].key] = j
+	h.pos[h.es[i].key] = int32(i + 1)
+	h.pos[h.es[j].key] = int32(j + 1)
 }
 
 func (h *Heap) up(i int) {

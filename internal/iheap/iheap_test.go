@@ -176,6 +176,58 @@ func TestKeys(t *testing.T) {
 	}
 }
 
+func TestNegativeKeyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	New().Push(-1, 1)
+}
+
+// TestDenseIndexSparseKeys pushes keys spread far apart (the position index
+// is a slice addressed by key), then re-pushes removed and popped keys.
+func TestDenseIndexSparseKeys(t *testing.T) {
+	h := NewWithCapacity(4)
+	keys := []int{1 << 20, 3, 70000, 0, 999999}
+	for i, k := range keys {
+		h.Push(k, float64(i))
+	}
+	for _, k := range []int{-5, 1, 4, 1<<20 - 1, 1 << 21} {
+		if h.Has(k) || h.Remove(k) || h.Update(k, 1) {
+			t.Fatalf("absent key %d reported present", k)
+		}
+	}
+	if k, _, _ := h.Max(); k != 999999 {
+		t.Fatalf("max = %d, want 999999", k)
+	}
+	if !h.Remove(1 << 20) {
+		t.Fatal("Remove(1<<20) failed")
+	}
+	if h.Has(1 << 20) {
+		t.Fatal("removed key still present")
+	}
+	h.Push(1<<20, 10)
+	if k, pri, _ := h.PopMax(); k != 1<<20 || pri != 10 {
+		t.Fatalf("max = %d/%v, want re-pushed %d/10", k, pri, 1<<20)
+	}
+	h.Push(1<<20, -1)
+	if pri, ok := h.Priority(1 << 20); !ok || pri != -1 {
+		t.Fatalf("priority after second re-push = %v, %v", pri, ok)
+	}
+	var got []int
+	for h.Len() > 0 {
+		k, _, _ := h.PopMax()
+		got = append(got, k)
+	}
+	want := []int{999999, 0, 70000, 3, 1 << 20}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("drain order %v, want %v", got, want)
+		}
+	}
+}
+
 func TestLazyHeapOrder(t *testing.T) {
 	var l Lazy
 	l.Push(LazyEntry{Key: 1, Pri: 2})
@@ -194,13 +246,36 @@ func TestLazyHeapOrder(t *testing.T) {
 	}
 }
 
-func TestLazyHeapRevTieBreak(t *testing.T) {
+// TestLazyHeapInitTieBreak heapifies equal-priority entries in scrambled
+// order: Init must drain exactly as pushes would, ties toward smaller key.
+func TestLazyHeapInitTieBreak(t *testing.T) {
 	var l Lazy
-	l.Push(LazyEntry{Key: 1, Rev: 0, Pri: 3})
-	l.Push(LazyEntry{Key: 1, Rev: 2, Pri: 3})
-	e, _ := l.Pop()
-	if e.Rev != 2 {
-		t.Fatalf("rev = %d, want fresher entry first", e.Rev)
+	l.Init([]LazyEntry{{Key: 9, Pri: 3}, {Key: 4, Pri: 3}, {Key: 1, Pri: 2}, {Key: 7, Pri: 3}, {Key: 2, Pri: 5}})
+	for _, want := range []int32{2, 4, 7, 9, 1} {
+		if e, ok := l.Pop(); !ok || e.Key != want {
+			t.Fatalf("pop = %v (%v), want key %d", e.Key, ok, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		es := make([]LazyEntry, rng.Intn(300))
+		var pushed Lazy
+		for i := range es {
+			es[i] = LazyEntry{Key: int32(rng.Intn(100000)), Pri: float64(rng.Intn(8))}
+			pushed.Push(es[i])
+		}
+		var built Lazy
+		built.Init(es)
+		for pushed.Len() > 0 {
+			a, _ := pushed.Pop()
+			b, ok := built.Pop()
+			if !ok || a != b {
+				t.Fatalf("trial %d: Init drained %v, pushes %v", trial, b, a)
+			}
+		}
+		if built.Len() != 0 {
+			t.Fatalf("trial %d: Init kept %d extra entries", trial, built.Len())
+		}
 	}
 }
 
@@ -209,7 +284,7 @@ func TestLazyHeapRandomDrain(t *testing.T) {
 	var l Lazy
 	n := 2000
 	for i := 0; i < n; i++ {
-		l.Push(LazyEntry{Key: int32(rng.Intn(500)), Rev: int32(rng.Intn(3)), Pri: rng.Float64()})
+		l.Push(LazyEntry{Key: int32(rng.Intn(500)), Pri: rng.Float64()})
 	}
 	if l.Len() != n {
 		t.Fatalf("Len = %d", l.Len())

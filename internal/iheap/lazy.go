@@ -1,23 +1,19 @@
 package iheap
 
-// Lazy is a max-heap with lazy deletion, used by the clustering hot loop.
-// Instead of removing or updating entries in place (which requires a
-// key→position index and its hash-map churn), consumers push fresh entries
-// and filter stale ones at pop time: ROCK's merged clusters receive new ids
-// and dead ids never revive, so staleness is a cheap liveness test on the
-// consumer side.
+// Lazy is a max-heap with lazy deletion, used for ROCK's local heaps.
+// Instead of removing entries in place (which requires a key→position
+// index), consumers filter stale entries at the top: ROCK's merged clusters
+// receive new ids and dead ids never revive, so staleness is a cheap
+// liveness test on the consumer side.
 //
-// Ordering is deterministic: priority descending, then key ascending, then
-// revision descending (fresher first).
+// Ordering is deterministic: priority descending, then key ascending.
 type Lazy struct {
 	es []LazyEntry
 }
 
-// LazyEntry is one heap element: a target key, the revision of the pushing
-// state (so consumers can detect superseded entries) and the priority.
+// LazyEntry is one heap element: a target key and its priority.
 type LazyEntry struct {
 	Key int32
-	Rev int32
 	Pri float64
 }
 
@@ -25,14 +21,20 @@ func lazyLess(a, b LazyEntry) bool {
 	if a.Pri != b.Pri {
 		return a.Pri < b.Pri
 	}
-	if a.Key != b.Key {
-		return a.Key > b.Key
-	}
-	return a.Rev < b.Rev
+	return a.Key > b.Key
 }
 
 // Len returns the number of entries, including stale ones.
 func (l *Lazy) Len() int { return len(l.es) }
+
+// Init replaces the heap's contents with es, which the heap takes ownership
+// of, and orders them in O(len(es)) — cheaper than len(es) pushes.
+func (l *Lazy) Init(es []LazyEntry) {
+	l.es = es
+	for i := len(es)/2 - 1; i >= 0; i-- {
+		l.down(i)
+	}
+}
 
 // Push inserts an entry.
 func (l *Lazy) Push(e LazyEntry) {
@@ -65,22 +67,26 @@ func (l *Lazy) Pop() (LazyEntry, bool) {
 	last := len(l.es) - 1
 	l.es[0] = l.es[last]
 	l.es = l.es[:last]
-	// Sift down.
-	i, n := 0, len(l.es)
+	l.down(0)
+	return top, true
+}
+
+// down sifts entry i toward the leaves.
+func (l *Lazy) down(i int) {
+	n := len(l.es)
 	for {
 		lc, rc := 2*i+1, 2*i+2
 		if lc >= n {
-			break
+			return
 		}
 		c := lc
 		if rc < n && lazyLess(l.es[lc], l.es[rc]) {
 			c = rc
 		}
 		if !lazyLess(l.es[i], l.es[c]) {
-			break
+			return
 		}
 		l.es[i], l.es[c] = l.es[c], l.es[i]
 		i = c
 	}
-	return top, true
 }

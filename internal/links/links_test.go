@@ -1,6 +1,7 @@
 package links
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -141,6 +142,22 @@ func TestParallelNeighborsMatchSequential(t *testing.T) {
 	}
 }
 
+// TestComputeNeighborsRejectsBadTheta: θ outside [0,1], NaN included, is a
+// programming error and panics instead of silently finding no neighbors.
+func TestComputeNeighborsRejectsBadTheta(t *testing.T) {
+	txns, _ := figure1Txns()
+	for _, theta := range []float64{math.NaN(), -0.1, 1.1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("theta %v accepted", theta)
+				}
+			}()
+			ComputeNeighbors(len(txns), sim.ByIndex(txns, sim.Jaccard), Config{Theta: theta})
+		}()
+	}
+}
+
 func TestThetaOneOnlyIdenticalNeighbors(t *testing.T) {
 	txns := []dataset.Transaction{
 		dataset.NewTransaction(1, 2),
@@ -265,6 +282,37 @@ func TestTableForEachConsistent(t *testing.T) {
 					t.Fatalf("ForEach(%d) link to %d = %d, want %d", i, j, seen[j], want)
 				}
 			}
+		}
+	}
+}
+
+// TestTableForEachPair: both tables visit every linked pair exactly once,
+// smaller endpoint first, with its Get count; the dense one in row-major
+// order, which is what lets the clustering core build every point's sorted
+// link list in one pass.
+func TestTableForEachPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	txns := randomTxns(rng, 60, 25, 5)
+	nb := ComputeNeighbors(len(txns), sim.ByIndex(txns, sim.Jaccard), Config{Theta: 0.4})
+	for _, table := range []Table{Compute(nb, len(txns)), Compute(nb, -1)} {
+		_, dense := table.(*DenseTable)
+		seen := make(map[[2]int]bool)
+		prev := [2]int{-1, -1}
+		table.ForEachPair(func(i, j, l int) {
+			p := [2]int{i, j}
+			if i >= j || seen[p] {
+				t.Fatalf("dense=%v: pair (%d,%d) out of order or repeated", dense, i, j)
+			}
+			if dense && (i < prev[0] || (i == prev[0] && j <= prev[1])) {
+				t.Fatalf("dense pair (%d,%d) after (%d,%d)", i, j, prev[0], prev[1])
+			}
+			if want := table.Get(i, j); l != want || l == 0 {
+				t.Fatalf("dense=%v: link(%d,%d) = %d, Get %d", dense, i, j, l, want)
+			}
+			seen[p], prev = true, p
+		})
+		if len(seen) != table.NonZeroPairs() {
+			t.Fatalf("dense=%v: visited %d pairs, NonZeroPairs %d", dense, len(seen), table.NonZeroPairs())
 		}
 	}
 }

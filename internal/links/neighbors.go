@@ -14,6 +14,7 @@ package links
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -116,7 +117,7 @@ func (s SimSource) ComputeNeighbors(cfg Config) *Neighbors {
 // and returns the neighbor lists. The similarity function must be symmetric;
 // only pairs i < j are evaluated and the result is mirrored.
 func ComputeNeighbors(n int, s sim.Func, cfg Config) *Neighbors {
-	if cfg.Theta < 0 || cfg.Theta > 1 {
+	if math.IsNaN(cfg.Theta) || cfg.Theta < 0 || cfg.Theta > 1 {
 		panic(fmt.Sprintf("links: theta %v out of [0,1]", cfg.Theta))
 	}
 	lists := make([][]int32, n)

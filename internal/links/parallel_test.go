@@ -101,7 +101,7 @@ func TestDenseTableMatchesOracles(t *testing.T) {
 
 // TestDenseForEachAscending: the dense ForEach walks the column above point
 // i and then its row, so it must still visit exactly the non-zero links in
-// ascending j order — the order the clustering core's heap build consumes.
+// ascending j order, as the Table interface documents.
 func TestDenseForEachAscending(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, n := range []int{1, 2, 7, 50} {

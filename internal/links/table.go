@@ -13,8 +13,12 @@ type Table interface {
 	// ForEach calls fn for every j with link(i, j) > 0, in ascending j
 	// order for the dense table and unspecified order for the sparse one.
 	ForEach(i int, fn func(j, links int))
+	// ForEachPair calls fn once for every unordered pair i < j with
+	// link(i, j) > 0: in row-major order (i, then j ascending) for the
+	// dense table, unspecified order for the sparse one.
+	ForEachPair(fn func(i, j, links int))
 	// NonZeroPairs returns the number of unordered pairs with a positive
-	// link count (a size/memory diagnostic used by the benchmarks).
+	// link count: the table's size, which rockcore.Stats.LinkPairs reports.
 	NonZeroPairs() int
 }
 
@@ -77,17 +81,23 @@ func (t *DenseTable) ForEach(i int, fn func(j, links int)) {
 	}
 }
 
-// NonZeroPairs counts unordered pairs with positive links.
-func (t *DenseTable) NonZeroPairs() int {
-	c := 0
+// ForEachPair visits every unordered pair with positive links in one
+// sequential walk of the triangle, row by row.
+func (t *DenseTable) ForEachPair(fn func(i, j, links int)) {
 	for i := 0; i < t.n; i++ {
 		base := t.rowBase(i)
-		for j := i + 1; j < t.n; j++ {
-			if t.vals[base+(j-i)] > 0 {
-				c++
+		for d, v := range t.vals[base+1 : base+t.n-i] {
+			if v > 0 {
+				fn(i, i+1+d, int(v))
 			}
 		}
 	}
+}
+
+// NonZeroPairs counts unordered pairs with positive links.
+func (t *DenseTable) NonZeroPairs() int {
+	c := 0
+	t.ForEachPair(func(_, _, _ int) { c++ })
 	return c
 }
 
@@ -131,6 +141,18 @@ func (t *SparseTable) Add(i, j, d int) {
 func (t *SparseTable) ForEach(i int, fn func(j, links int)) {
 	for j, v := range t.rows[i] {
 		fn(int(j), int(v))
+	}
+}
+
+// ForEachPair visits every unordered pair with positive links, each once
+// from the row of its smaller endpoint (order unspecified).
+func (t *SparseTable) ForEachPair(fn func(i, j, links int)) {
+	for i, r := range t.rows {
+		for j, v := range r {
+			if int(j) > i {
+				fn(i, int(j), int(v))
+			}
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package rockcore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rock/internal/iheap"
@@ -154,7 +156,7 @@ func (c Config) validate() error {
 	if c.K <= 0 {
 		return errors.New("rockcore: K must be positive")
 	}
-	if c.Theta < 0 || c.Theta > 1 {
+	if math.IsNaN(c.Theta) || c.Theta < 0 || c.Theta > 1 {
 		return fmt.Errorf("rockcore: theta %v out of [0,1]", c.Theta)
 	}
 	return nil
@@ -189,10 +191,10 @@ func ClusterNeighbors(nb *links.Neighbors, cfg Config) (*Result, error) {
 	res.Stats.MaxDegree = nb.MaxDegree()
 	res.Stats.AvgDegree = nb.AvgDegree()
 
-	table := links.ComputeParallel(nb, cfg.denseLimit(), cfg.Workers)
-	res.Stats.LinkPairs = table.NonZeroPairs()
-
-	st := newState(table, cfg)
+	// The link table is not held past newState: the merge loop runs on
+	// the per-cluster lists built from it, so the table can be freed.
+	st := newState(links.ComputeParallel(nb, cfg.denseLimit(), cfg.Workers), cfg)
+	res.Stats.LinkPairs = st.linkPairs
 	st.run()
 
 	res.Stats.Merges = st.merges
@@ -246,19 +248,33 @@ func identity(n int) []int {
 	return v
 }
 
-// clusterState is one live cluster in the merge loop. Cross-link maps and
-// local heaps are maintained lazily: merged or weeded clusters keep their
-// ids forever (new clusters get fresh ids), so entries pointing at dead ids
-// are recognizably stale and are skipped on read instead of being deleted —
-// which keeps hash-map and heap-index churn out of the hot loop.
+// link is one entry of a cluster's cross-link list: another cluster's id
+// and the number of cross links to it.
+type link struct{ id, n int32 }
+
+func byID(a, b link) int { return cmp.Compare(a.id, b.id) }
+
+// clusterState is one live cluster in the merge loop. Merged or weeded
+// clusters keep their ids forever and new clusters get fresh, increasing
+// ids, so a cross-link list stays sorted by id when a new cluster's entry is
+// appended, and entries pointing at dead ids are recognizably stale: they
+// are skipped on read (and dropped when the list is next merged), as are
+// dead targets at the top of the local heap, instead of being deleted.
 type clusterState struct {
 	size     int
 	members  []int32
-	internal int             // Σ link(p,q) over unordered intra-cluster pairs
-	links    map[int32]int32 // cross-link counts; may contain stale (dead) ids
-	heap     iheap.Lazy      // local heap q[i]; stale entries skipped at top
-	best     float64         // cached g(i, max q[i]) as last published to Q
-	rev      int32           // revision of the latest global-heap entry
+	internal int        // Σ link(p,q) over unordered intra-cluster pairs
+	links    []link     // cross-link counts sorted by id; may hold dead ids
+	heap     iheap.Lazy // local heap q[i]; stale entries skipped at top
+}
+
+// linksTo returns the cross-link count to cluster id (0 when unlinked).
+func (c *clusterState) linksTo(id int) int {
+	i, ok := slices.BinarySearchFunc(c.links, link{id: int32(id)}, byID)
+	if !ok {
+		return 0
+	}
+	return int(c.links[i].n)
 }
 
 // state carries the whole Figure 3 algorithm.
@@ -266,8 +282,9 @@ type state struct {
 	cfg            Config
 	pow            *sizePow
 	cs             []*clusterState // indexed by cluster id; nil once dead
-	global         iheap.Lazy      // the global heap Q (lazy)
+	global         *iheap.Heap     // the global heap Q: one entry per live id
 	activeCount    int
+	linkPairs      int
 	merges         int
 	weeded         []int32
 	stoppedNoLinks bool
@@ -284,31 +301,38 @@ func newState(table links.Table, cfg Config) *state {
 		cfg:         cfg,
 		pow:         newSizePow(cfg.f()),
 		cs:          make([]*clusterState, n, 2*n),
+		global:      iheap.NewWithCapacity(2 * n),
 		activeCount: n,
 	}
 	if cfg.StopMultiple > 1 && cfg.MinClusterSize > 0 {
 		st.weedAt = int(math.Ceil(cfg.StopMultiple * float64(cfg.K)))
 	}
 	// Steps 1-4 of Figure 3: one cluster per point, local heaps from the
-	// link table, global heap keyed by each cluster's best goodness.
+	// link table, global heap keyed by each cluster's best goodness. One
+	// pass over the table's pairs fills both endpoints' link lists; on the
+	// dense table it visits pairs row by row, so every list comes out
+	// sorted.
 	for i := 0; i < n; i++ {
 		st.cs[i] = &clusterState{size: 1, members: []int32{int32(i)}}
 	}
-	// One table pass per point gathers its links into a reused buffer, so
-	// the degree is known before the map is sized.
-	var row [][2]int32
-	for i := 0; i < n; i++ {
-		c := st.cs[i]
-		row = row[:0]
-		table.ForEach(i, func(j, l int) { row = append(row, [2]int32{int32(j), int32(l)}) })
-		c.links = make(map[int32]int32, len(row))
-		for _, e := range row {
-			c.links[e[0]] = e[1]
-			c.heap.Push(iheap.LazyEntry{Key: e[0], Pri: st.goodness(int(e[1]), 1, 1)})
+	table.ForEachPair(func(i, j, l int) {
+		ci, cj := st.cs[i], st.cs[j]
+		ci.links = append(ci.links, link{int32(j), int32(l)})
+		cj.links = append(cj.links, link{int32(i), int32(l)})
+	})
+	for i, c := range st.cs {
+		if !slices.IsSortedFunc(c.links, byID) {
+			slices.SortFunc(c.links, byID)
 		}
-		c.best = st.localBest(i)
-		st.global.Push(iheap.LazyEntry{Key: int32(i), Rev: 0, Pri: c.best})
+		st.linkPairs += len(c.links)
+		es := make([]iheap.LazyEntry, len(c.links))
+		for k, e := range c.links {
+			es[k] = iheap.LazyEntry{Key: e.id, Pri: st.goodness(int(e.n), 1, 1)}
+		}
+		c.heap.Init(es)
+		st.global.Push(i, st.localBest(i))
 	}
+	st.linkPairs /= 2
 	return st
 }
 
@@ -346,33 +370,16 @@ func (st *state) localMax(id int) (int, bool) {
 	return int(top.Key), true
 }
 
-// publish refreshes cluster id's cached best priority and, if it changed,
-// pushes a fresh revision to the global heap (superseding older entries).
+// publish refreshes cluster id's priority in the global heap to the
+// goodness of its best live merge candidate.
 func (st *state) publish(id int) {
-	c := st.cs[id]
-	best := st.localBest(id)
-	if best == c.best {
-		return // the entry at revision c.rev is still in the heap and valid
-	}
-	c.best = best
-	c.rev++
-	st.global.Push(iheap.LazyEntry{Key: int32(id), Rev: c.rev, Pri: best})
+	st.global.Update(id, st.localBest(id))
 }
 
-// globalMax pops stale entries off the global heap and returns the live
-// cluster with the highest best-merge goodness.
-func (st *state) globalMax() (int, float64, bool) {
-	for {
-		top, ok := st.global.Top()
-		if !ok {
-			return 0, 0, false
-		}
-		c := st.cs[top.Key]
-		if c != nil && top.Rev == c.rev {
-			return int(top.Key), top.Pri, true
-		}
-		st.global.Pop()
-	}
+// kill marks cluster id dead and drops it from the global heap.
+func (st *state) kill(id int) {
+	st.cs[id] = nil
+	st.global.Remove(id)
 }
 
 // run executes the while-loop of Figure 3 (steps 5-18).
@@ -383,7 +390,7 @@ func (st *state) run() {
 			st.weedAt = 0
 			continue
 		}
-		u, pri, ok := st.globalMax()
+		u, pri, ok := st.global.Max()
 		if !ok || math.IsInf(pri, -1) {
 			// No remaining pair of clusters has any cross links; per
 			// Section 4.3 the clustering stops here. Outlier weeding
@@ -407,40 +414,34 @@ func (st *state) run() {
 // g(u, v) at merge time, recorded in the trace.
 func (st *state) merge(u, v int, goodness float64) {
 	cu, cv := st.cs[u], st.cs[v]
+	cross := cu.linksTo(v)
 	w := len(st.cs)
 	cw := &clusterState{
 		size:     cu.size + cv.size,
 		members:  append(append(make([]int32, 0, cu.size+cv.size), cu.members...), cv.members...),
-		internal: cu.internal + cv.internal + int(cu.links[int32(v)]),
-		links:    make(map[int32]int32, len(cu.links)+len(cv.links)),
+		internal: cu.internal + cv.internal + cross,
 	}
 	st.cs = append(st.cs, cw)
-	st.cs[u], st.cs[v] = nil, nil // step 17: u and v are dead from here on
+	st.kill(u) // step 17: u and v are dead from here on
+	st.kill(v)
+	st.activeCount--
 
 	// q[w]'s entries are exactly the live clusters previously linked to u
-	// or v; stale ids in the old maps are skipped here and thereby
-	// garbage-collected.
-	for x, l := range cu.links {
-		if st.cs[x] != nil {
-			cw.links[x] = l
-		}
-	}
-	for x, l := range cv.links {
-		if st.cs[x] != nil {
-			cw.links[x] += l
-		}
-	}
-	for x, l := range cw.links {
-		cx := st.cs[x]
-		cx.links[int32(w)] = l
-		g := st.goodness(int(l), cx.size, cw.size)
+	// or v; each gains an entry for w, and w's local heap is built from
+	// all of them at once.
+	cw.links = st.mergeLinks(cu.links, cv.links)
+	es := make([]iheap.LazyEntry, len(cw.links))
+	for k, e := range cw.links {
+		cx := st.cs[e.id]
+		cx.links = append(cx.links, link{int32(w), e.n})
+		g := st.goodness(int(e.n), cx.size, cw.size)
 		cx.heap.Push(iheap.LazyEntry{Key: int32(w), Pri: g})
-		cw.heap.Push(iheap.LazyEntry{Key: x, Pri: g})
-		st.publish(int(x))
+		es[k] = iheap.LazyEntry{Key: e.id, Pri: g}
+		st.publish(int(e.id))
 	}
-	st.publish(w)
+	cw.heap.Init(es)
+	st.global.Push(w, st.localBest(w))
 
-	st.activeCount--
 	st.merges++
 	if st.cfg.TraceMerges {
 		st.trace = append(st.trace, MergeStep{
@@ -449,10 +450,36 @@ func (st *state) merge(u, v int, goodness float64) {
 			SizeB:      cv.size,
 			InternalA:  cu.internal,
 			InternalB:  cv.internal,
-			CrossLinks: int(cu.links[int32(v)]),
+			CrossLinks: cross,
 			Remaining:  st.activeCount,
 		})
 	}
+}
+
+// mergeLinks returns the union of two sorted cross-link lists, summing the
+// counts of ids present in both and dropping dead ids.
+func (st *state) mergeLinks(a, b []link) []link {
+	out := make([]link, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var e link
+		switch {
+		case j == len(b) || (i < len(a) && a[i].id < b[j].id):
+			e = a[i]
+			i++
+		case i == len(a) || b[j].id < a[i].id:
+			e = b[j]
+			j++
+		default:
+			e = link{a[i].id, a[i].n + b[j].n}
+			i++
+			j++
+		}
+		if st.cs[e.id] != nil {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // weed implements the second outlier mechanism of Section 4.6: at the pause
@@ -477,19 +504,17 @@ func (st *state) weed() {
 	}
 	// Kill first, then republish neighbors (their best candidates may
 	// have just died).
-	touched := make(map[int32]bool)
+	var touched []link
 	for _, id := range victims {
 		c := st.cs[id]
 		st.weeded = append(st.weeded, c.members...)
-		for x := range c.links {
-			touched[x] = true
-		}
-		st.cs[id] = nil
+		touched = append(touched, c.links...)
+		st.kill(id)
 		st.activeCount--
 	}
-	for x := range touched {
-		if st.cs[x] != nil {
-			st.publish(int(x))
+	for _, e := range touched {
+		if st.cs[e.id] != nil {
+			st.publish(int(e.id))
 		}
 	}
 }

@@ -132,6 +132,25 @@ func TestKValidation(t *testing.T) {
 	}
 }
 
+// TestThetaValidation: θ outside [0,1], NaN included, is rejected before
+// any work; NaN would otherwise pass both range comparisons and silently
+// find no neighbors.
+func TestThetaValidation(t *testing.T) {
+	txns, _ := figure1()
+	for _, c := range []struct {
+		theta float64
+		ok    bool
+	}{
+		{math.NaN(), false}, {-0.1, false}, {1.5, false}, {math.Inf(1), false},
+		{0, true}, {0.5, true}, {1, true},
+	} {
+		_, err := Cluster(len(txns), sim.ByIndex(txns, sim.Jaccard), Config{K: 2, Theta: c.theta})
+		if (err == nil) != c.ok {
+			t.Errorf("theta %v: err = %v, want accepted %v", c.theta, err, c.ok)
+		}
+	}
+}
+
 func TestEmptyInput(t *testing.T) {
 	res, err := Cluster(0, func(i, j int) float64 { return 0 }, Config{K: 3, Theta: 0.5})
 	if err != nil {

@@ -27,6 +27,7 @@
 package stream
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -251,7 +252,7 @@ type Disposition struct {
 // theta is outside [0,1] — both are static misconfiguration, not runtime
 // conditions.
 func New(cfg Config) *Clusterer {
-	if cfg.Theta < 0 || cfg.Theta > 1 {
+	if math.IsNaN(cfg.Theta) || cfg.Theta < 0 || cfg.Theta > 1 {
 		panic("stream: theta out of [0,1]")
 	}
 	simF, ok := sim.TxnByName(cfg.simName())

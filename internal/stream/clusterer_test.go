@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -48,6 +49,23 @@ func testConfig() Config {
 		MinPromote:     8,
 		WindowSize:     128,
 		Seed:           1,
+	}
+}
+
+// TestNewRejectsBadTheta: θ outside [0,1], NaN included, is static
+// misconfiguration and panics instead of silently pooling every arrival.
+func TestNewRejectsBadTheta(t *testing.T) {
+	for _, theta := range []float64{math.NaN(), -0.1, 1.1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("theta %v accepted", theta)
+				}
+			}()
+			cfg := testConfig()
+			cfg.Theta = theta
+			New(cfg)
+		}()
 	}
 }
 

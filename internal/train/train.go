@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -168,7 +169,7 @@ func (c *Config) validate() error {
 	if c.K <= 0 {
 		return errors.New("train: K must be positive")
 	}
-	if c.Theta < 0 || c.Theta > 1 {
+	if math.IsNaN(c.Theta) || c.Theta < 0 || c.Theta > 1 {
 		return fmt.Errorf("train: theta %v out of [0,1]", c.Theta)
 	}
 	if c.Shards < 0 {

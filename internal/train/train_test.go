@@ -2,6 +2,7 @@ package train_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -178,6 +179,7 @@ func TestTrainValidation(t *testing.T) {
 	bad := []train.Config{
 		{K: 0, Theta: 0.5, Shards: 2},
 		{K: 3, Theta: 1.5, Shards: 2},
+		{K: 3, Theta: math.NaN(), Shards: 2},
 		{K: 3, Theta: 0.5}, // neither Shards nor MemBudget
 		{K: 3, Theta: 0.5, Shards: 2, SimName: "nope"},
 		{K: 3, Theta: 0.5, Shards: -1},
