@@ -344,6 +344,38 @@ func BenchmarkMergeLoopMushroom(b *testing.B) {
 	}
 }
 
+// BenchmarkMergeLoopBasket clusters a 5000-transaction sample of the Table 5
+// basket corpus from its precomputed θ = 0.5 neighbor lists at the Table 6
+// operating point (K = 10, pruning and weeding, dense link table), drawn as
+// the Table 6 pipeline draws it. Basket points have long link lists, which
+// the mushroom records do not; each iteration times the link table and the
+// Figure 3 merge loop without the neighbor join.
+func BenchmarkMergeLoopBasket(b *testing.B) {
+	pcfg := experiments.SyntheticPipelineConfig(5000, 0.5, experiments.DefaultSeed)
+	d := datagen.Basket(datagen.DefaultBasketConfig(), rand.New(rand.NewSource(pcfg.Seed)))
+	idx := sample.Indices(len(d.Txns), pcfg.SampleSize, rand.New(rand.NewSource(pcfg.Seed)))
+	txns := make([]rock.Transaction, len(idx))
+	for i, p := range idx {
+		txns[i] = d.Txns[p]
+	}
+	pc := pcfg.Cluster
+	cfg := rockcore.Config{
+		K: pc.K, Theta: pc.Theta, MinNeighbors: pc.MinNeighbors,
+		StopMultiple: pc.StopMultiple, MinClusterSize: pc.MinClusterSize, DenseLimit: pc.DenseLimit,
+	}
+	nb := simjoin.NewSource(txns, sim.Jaccard).ComputeNeighbors(links.Config{Theta: cfg.Theta})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := rockcore.ClusterNeighbors(nb, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Clusters) < cfg.K {
+			b.Fatalf("clusters = %d, want at least %d", len(res.Clusters), cfg.K)
+		}
+	}
+}
+
 // Ablation: raw cross-link goodness (the "naive approach" of Section 4.2)
 // vs the expected-link normalization, full clustering runs.
 func BenchmarkGoodnessNormalization(b *testing.B) {

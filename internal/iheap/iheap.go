@@ -3,24 +3,27 @@
 // usual push/pop-max, deletion and priority update of an arbitrary element
 // identified by a cluster id — operations container/heap does not expose
 // directly — so Heap is implemented from scratch with an id→position index.
-// The per-cluster local heaps q[i] only ever gain entries and lose dead
-// ones, so they use the lighter lazy-deletion Lazy.
+// Each of Q's entries also carries the partner of the cluster's best merge,
+// which breaks priority ties. The per-cluster local heaps q[i] never gain
+// entries once built and only lose dead ones, so they use the lighter
+// lazy-deletion Lazy, heapified once by Init.
 package iheap
 
 import "fmt"
 
 type entry struct {
-	key int
-	pri float64
+	key, partner int
+	pri          float64
 }
 
-// Heap is a max-heap of (key, priority) pairs supporting O(log n) push,
-// pop-max, remove-by-key and update-by-key. Keys must be unique within a
-// heap and non-negative: the position index is a dense slice addressed by
-// key, sized to the largest key pushed, which suits keys drawn from a
-// compact id space such as ROCK's cluster ids (< 2n). Ties in priority are
-// broken by smaller key, which makes every consumer of the heap
-// deterministic.
+// Heap is a max-heap of (key, priority, partner) triples supporting
+// O(log n) push, pop-max, remove-by-key and update-by-key. Keys must be
+// unique within a heap and non-negative: the position index is a dense
+// slice addressed by key, sized to the largest key pushed, which suits keys
+// drawn from a compact id space such as ROCK's cluster ids (< 2n). The
+// partner is an arbitrary int the caller attaches to the key. Ties in
+// priority are broken by smaller partner, then by smaller key, which makes
+// every consumer of the heap deterministic.
 type Heap struct {
 	es  []entry
 	pos []int32 // key -> 1 + index in es; 0 = absent
@@ -54,18 +57,19 @@ func (h *Heap) index(key int) int {
 // Has reports whether key is present.
 func (h *Heap) Has(key int) bool { return h.index(key) >= 0 }
 
-// Priority returns the priority of key and whether it is present.
-func (h *Heap) Priority(key int) (float64, bool) {
+// Priority returns the priority and partner of key and whether it is
+// present.
+func (h *Heap) Priority(key int) (pri float64, partner int, ok bool) {
 	i := h.index(key)
 	if i < 0 {
-		return 0, false
+		return 0, 0, false
 	}
-	return h.es[i].pri, true
+	return h.es[i].pri, h.es[i].partner, true
 }
 
-// Push inserts key with the given priority. It panics if key is negative or
-// already in the heap; use Update to change an existing priority.
-func (h *Heap) Push(key int, pri float64) {
+// Push inserts key with the given priority and partner. It panics if key is
+// negative or already in the heap; use Update to change an existing entry.
+func (h *Heap) Push(key int, pri float64, partner int) {
 	if key < 0 {
 		panic(fmt.Sprintf("iheap: negative key %d", key))
 	}
@@ -75,28 +79,29 @@ func (h *Heap) Push(key int, pri float64) {
 	if key >= len(h.pos) {
 		h.pos = append(h.pos, make([]int32, key+1-len(h.pos))...)
 	}
-	h.es = append(h.es, entry{key, pri})
+	h.es = append(h.es, entry{key, partner, pri})
 	h.pos[key] = int32(len(h.es))
 	h.up(len(h.es) - 1)
 }
 
-// Max returns the key and priority of the maximum element without removing
-// it. ok is false when the heap is empty.
-func (h *Heap) Max() (key int, pri float64, ok bool) {
+// Max returns the key, priority and partner of the maximum element without
+// removing it. ok is false when the heap is empty.
+func (h *Heap) Max() (key int, pri float64, partner int, ok bool) {
 	if len(h.es) == 0 {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
-	return h.es[0].key, h.es[0].pri, true
+	e := h.es[0]
+	return e.key, e.pri, e.partner, true
 }
 
 // PopMax removes and returns the maximum element. ok is false when empty.
-func (h *Heap) PopMax() (key int, pri float64, ok bool) {
+func (h *Heap) PopMax() (key int, pri float64, partner int, ok bool) {
 	if len(h.es) == 0 {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	e := h.es[0]
 	h.removeAt(0)
-	return e.key, e.pri, true
+	return e.key, e.pri, e.partner, true
 }
 
 // Remove deletes key from the heap, reporting whether it was present.
@@ -109,27 +114,27 @@ func (h *Heap) Remove(key int) bool {
 	return true
 }
 
-// Update changes the priority of key, reporting whether it was present.
-func (h *Heap) Update(key int, pri float64) bool {
+// Update changes the priority and partner of key, reporting whether it was
+// present.
+func (h *Heap) Update(key int, pri float64, partner int) bool {
 	i := h.index(key)
 	if i < 0 {
 		return false
 	}
-	old := h.es[i].pri
-	h.es[i].pri = pri
-	switch {
-	case h.less(entry{key, old}, h.es[i]):
+	old := h.es[i]
+	h.es[i].pri, h.es[i].partner = pri, partner
+	if h.less(old, h.es[i]) {
 		h.up(i)
-	default:
+	} else {
 		h.down(i)
 	}
 	return true
 }
 
-// Upsert sets the priority of key, inserting it if absent.
-func (h *Heap) Upsert(key int, pri float64) {
-	if !h.Update(key, pri) {
-		h.Push(key, pri)
+// Upsert sets the priority and partner of key, inserting it if absent.
+func (h *Heap) Upsert(key int, pri float64, partner int) {
+	if !h.Update(key, pri, partner) {
+		h.Push(key, pri, partner)
 	}
 }
 
@@ -143,10 +148,13 @@ func (h *Heap) Keys() []int {
 }
 
 // less reports whether a has strictly lower heap priority than b
-// (max-heap on pri, ties broken toward smaller key).
+// (max-heap on pri, ties broken toward smaller partner, then smaller key).
 func (h *Heap) less(a, b entry) bool {
 	if a.pri != b.pri {
 		return a.pri < b.pri
+	}
+	if a.partner != b.partner {
+		return a.partner > b.partner
 	}
 	return a.key > b.key
 }

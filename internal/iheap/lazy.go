@@ -1,10 +1,11 @@
 package iheap
 
-// Lazy is a max-heap with lazy deletion, used for ROCK's local heaps.
-// Instead of removing entries in place (which requires a key→position
-// index), consumers filter stale entries at the top: ROCK's merged clusters
-// receive new ids and dead ids never revive, so staleness is a cheap
-// liveness test on the consumer side.
+// Lazy is a max-heap with lazy deletion, used for ROCK's local heaps. It is
+// built once by Init and afterwards only shrinks. Instead of removing
+// entries in place (which requires a key→position index), consumers filter
+// stale entries at the top: ROCK's merged clusters receive new ids and dead
+// ids never revive, so staleness is a cheap liveness test on the consumer
+// side.
 //
 // Ordering is deterministic: priority descending, then key ascending.
 type Lazy struct {
@@ -28,7 +29,7 @@ func lazyLess(a, b LazyEntry) bool {
 func (l *Lazy) Len() int { return len(l.es) }
 
 // Init replaces the heap's contents with es, which the heap takes ownership
-// of, and orders them in O(len(es)) — cheaper than len(es) pushes.
+// of, and orders them in O(len(es)).
 func (l *Lazy) Init(es []LazyEntry) {
 	l.es = es
 	for i := len(es)/2 - 1; i >= 0; i-- {
@@ -36,19 +37,9 @@ func (l *Lazy) Init(es []LazyEntry) {
 	}
 }
 
-// Push inserts an entry.
-func (l *Lazy) Push(e LazyEntry) {
-	l.es = append(l.es, e)
-	i := len(l.es) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !lazyLess(l.es[p], l.es[i]) {
-			break
-		}
-		l.es[p], l.es[i] = l.es[i], l.es[p]
-		i = p
-	}
-}
+// Entries returns the heap's entries, stale ones included, in heap order.
+// The slice is the heap's own and must not be modified.
+func (l *Lazy) Entries() []LazyEntry { return l.es }
 
 // Top returns the maximum entry without removing it.
 func (l *Lazy) Top() (LazyEntry, bool) {

@@ -260,12 +260,17 @@ func byID(a, b link) int { return cmp.Compare(a.id, b.id) }
 // appended, and entries pointing at dead ids are recognizably stale: they
 // are skipped on read (and dropped when the list is next merged), as are
 // dead targets at the top of the local heap, instead of being deleted.
+//
+// The cross-link list holds every linked cluster, but the local heap holds
+// only the older ones: each linked pair (a, b), a < b, is a merge candidate
+// in b's heap alone. A new cluster is the newest id, so its heap is built
+// from its whole list once and never gains an entry afterwards.
 type clusterState struct {
 	size     int
 	members  []int32
 	internal int        // Σ link(p,q) over unordered intra-cluster pairs
 	links    []link     // cross-link counts sorted by id; may hold dead ids
-	heap     iheap.Lazy // local heap q[i]; stale entries skipped at top
+	heap     iheap.Lazy // local heap q[i] over older linked clusters; stale entries skipped at top
 }
 
 // linksTo returns the cross-link count to cluster id (0 when unlinked).
@@ -282,7 +287,7 @@ type state struct {
 	cfg            Config
 	pow            *sizePow
 	cs             []*clusterState // indexed by cluster id; nil once dead
-	global         *iheap.Heap     // the global heap Q: one entry per live id
+	global         *iheap.Heap     // the global heap Q: per live id, its local heap top's goodness and id
 	activeCount    int
 	linkPairs      int
 	merges         int
@@ -311,7 +316,10 @@ func newState(table links.Table, cfg Config) *state {
 	// link table, global heap keyed by each cluster's best goodness. One
 	// pass over the table's pairs fills both endpoints' link lists; on the
 	// dense table it visits pairs row by row, so every list comes out
-	// sorted.
+	// sorted. Each point's local heap holds only the lower-numbered points
+	// it has links to — the prefix of its sorted list — so every linked
+	// pair is in exactly one heap and the heap sizes sum to the table's
+	// pair count.
 	for i := 0; i < n; i++ {
 		st.cs[i] = &clusterState{size: 1, members: []int32{int32(i)}}
 	}
@@ -324,15 +332,16 @@ func newState(table links.Table, cfg Config) *state {
 		if !slices.IsSortedFunc(c.links, byID) {
 			slices.SortFunc(c.links, byID)
 		}
-		st.linkPairs += len(c.links)
-		es := make([]iheap.LazyEntry, len(c.links))
-		for k, e := range c.links {
+		older, _ := slices.BinarySearchFunc(c.links, link{id: int32(i)}, byID)
+		st.linkPairs += older
+		es := make([]iheap.LazyEntry, older)
+		for k, e := range c.links[:older] {
 			es[k] = iheap.LazyEntry{Key: e.id, Pri: st.goodness(int(e.n), 1, 1)}
 		}
 		c.heap.Init(es)
-		st.global.Push(i, st.localBest(i))
+		pri, partner := st.localBest(i)
+		st.global.Push(i, pri, partner)
 	}
-	st.linkPairs /= 2
 	return st
 }
 
@@ -344,36 +353,27 @@ func (st *state) goodness(crossLinks, ni, nj int) float64 {
 }
 
 // localBest pops stale entries (dead targets) off cluster id's local heap
-// and returns the goodness of its best live merge candidate, or -Inf.
-func (st *state) localBest(id int) float64 {
+// and returns the goodness and id of its best live merge candidate, or
+// (-Inf, -1) when none is left.
+func (st *state) localBest(id int) (float64, int) {
 	h := &st.cs[id].heap
 	for {
 		top, ok := h.Top()
 		if !ok {
-			return negInf
+			return negInf, -1
 		}
 		if st.cs[top.Key] != nil {
-			return top.Pri
+			return top.Pri, int(top.Key)
 		}
 		h.Pop()
 	}
 }
 
-// localMax returns the best live merge candidate of cluster id, which
-// localBest has already surfaced to the heap top.
-func (st *state) localMax(id int) (int, bool) {
-	st.localBest(id)
-	top, ok := st.cs[id].heap.Top()
-	if !ok || st.cs[top.Key] == nil {
-		return 0, false
-	}
-	return int(top.Key), true
-}
-
-// publish refreshes cluster id's priority in the global heap to the
-// goodness of its best live merge candidate.
+// publish refreshes cluster id's entry in the global heap to the goodness
+// and partner of its best live merge candidate.
 func (st *state) publish(id int) {
-	st.global.Update(id, st.localBest(id))
+	pri, partner := st.localBest(id)
+	st.global.Update(id, pri, partner)
 }
 
 // kill marks cluster id dead and drops it from the global heap.
@@ -390,7 +390,9 @@ func (st *state) run() {
 			st.weedAt = 0
 			continue
 		}
-		u, pri, ok := st.global.Max()
+		// Q orders by goodness, then partner, then id, so its top is the
+		// lexicographically first max-goodness pair (u, v), u < v.
+		v, pri, u, ok := st.global.Max()
 		if !ok || math.IsInf(pri, -1) {
 			// No remaining pair of clusters has any cross links; per
 			// Section 4.3 the clustering stops here. Outlier weeding
@@ -402,15 +404,11 @@ func (st *state) run() {
 			}
 			return
 		}
-		v, ok := st.localMax(u)
-		if !ok {
-			panic("rockcore: global heap priority out of sync with local heap")
-		}
 		st.merge(u, v, pri)
 	}
 }
 
-// merge implements steps 9-17 of Figure 3 for clusters u and v; goodness is
+// merge implements steps 9-17 of Figure 3 for clusters u < v; goodness is
 // g(u, v) at merge time, recorded in the trace.
 func (st *state) merge(u, v int, goodness float64) {
 	cu, cv := st.cs[u], st.cs[v]
@@ -427,20 +425,23 @@ func (st *state) merge(u, v int, goodness float64) {
 	st.activeCount--
 
 	// q[w]'s entries are exactly the live clusters previously linked to u
-	// or v; each gains an entry for w, and w's local heap is built from
-	// all of them at once.
+	// or v, all older than w, so w's local heap is built from all of them
+	// at once and theirs gain nothing. Each neighbor's list gains w for
+	// its own later merges. A neighbor's Q entry goes stale only when its
+	// heap top was u or v: every other top is still live and unchanged.
 	cw.links = st.mergeLinks(cu.links, cv.links)
 	es := make([]iheap.LazyEntry, len(cw.links))
 	for k, e := range cw.links {
 		cx := st.cs[e.id]
 		cx.links = append(cx.links, link{int32(w), e.n})
-		g := st.goodness(int(e.n), cx.size, cw.size)
-		cx.heap.Push(iheap.LazyEntry{Key: int32(w), Pri: g})
-		es[k] = iheap.LazyEntry{Key: e.id, Pri: g}
-		st.publish(int(e.id))
+		es[k] = iheap.LazyEntry{Key: e.id, Pri: st.goodness(int(e.n), cx.size, cw.size)}
+		if top, ok := cx.heap.Top(); ok && (int(top.Key) == u || int(top.Key) == v) {
+			st.publish(int(e.id))
+		}
 	}
 	cw.heap.Init(es)
-	st.global.Push(w, st.localBest(w))
+	pri, partner := st.localBest(w)
+	st.global.Push(w, pri, partner)
 
 	st.merges++
 	if st.cfg.TraceMerges {
