@@ -63,12 +63,22 @@ func ScatterMedoid(n, count, medoidCap int, dist func(i, j int) float64, rng *ra
 	if medoidCap > 0 && n > medoidCap && rng != nil {
 		cand = rng.Perm(n)[:medoidCap]
 	}
+	// Each unordered pair is evaluated once (dist is symmetric); the row
+	// sums then run in cand order, exactly as a per-pair evaluation would.
+	k := len(cand)
+	d := make([]float64, k*k)
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			v := dist(cand[i], cand[j])
+			d[i*k+j], d[j*k+i] = v, v
+		}
+	}
 	medoid, best := cand[0], -1.0
-	for _, a := range cand {
+	for i, a := range cand {
 		total := 0.0
-		for _, b := range cand {
-			if a != b {
-				total += 1 - dist(a, b)
+		for j := range cand {
+			if i != j {
+				total += 1 - d[i*k+j]
 			}
 		}
 		if total > best {

@@ -1,6 +1,7 @@
 package cure
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -67,5 +68,65 @@ func TestScatterMedoidDegenerate(t *testing.T) {
 	one := ScatterMedoid(1, 4, 0, func(i, j int) float64 { return 0 }, nil)
 	if len(one) != 1 || one[0] != 0 {
 		t.Fatalf("n=1: got %v", one)
+	}
+}
+
+// scatterMedoidNaive is the per-pair reference: every ordered pair's
+// distance evaluated in the medoid sums.
+func scatterMedoidNaive(n, count, medoidCap int, dist func(i, j int) float64, rng *rand.Rand) []int {
+	if n <= 0 || count <= 0 {
+		return nil
+	}
+	cand := make([]int, n)
+	for i := range cand {
+		cand[i] = i
+	}
+	if medoidCap > 0 && n > medoidCap && rng != nil {
+		cand = rng.Perm(n)[:medoidCap]
+	}
+	medoid, best := cand[0], -1.0
+	for _, a := range cand {
+		total := 0.0
+		for _, b := range cand {
+			if a != b {
+				total += 1 - dist(a, b)
+			}
+		}
+		if total > best {
+			medoid, best = a, total
+		}
+	}
+	return Scatter(n, count, medoid, dist)
+}
+
+// TestScatterMedoidMatchesPerPair: evaluating each unordered pair once
+// picks exactly what the per-pair sums pick — ties, count > n and the
+// random medoid subset included — and consumes the rng identically.
+func TestScatterMedoidMatchesPerPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct{ n, count, medoidCap, levels int }{
+		{1, 3, 0, 4}, {2, 1, 0, 2}, {7, 3, 0, 2}, {7, 10, 0, 3},
+		{40, 8, 512, 5}, {40, 8, 16, 1000}, {600, 8, 512, 7}, {600, 700, 512, 1 << 20},
+	} {
+		// Symmetric distances on a coarse grid (few levels: many ties) with
+		// non-terminating binary fractions, so float sums depend on order.
+		d := make([]float64, tc.n*tc.n)
+		for i := 0; i < tc.n; i++ {
+			for j := i + 1; j < tc.n; j++ {
+				v := float64(rng.Intn(tc.levels)) / float64(tc.levels) * 0.9
+				d[i*tc.n+j], d[j*tc.n+i] = v, v
+			}
+		}
+		dist := func(i, j int) float64 { return d[i*tc.n+j] }
+		seed := rng.Int63()
+		r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got := ScatterMedoid(tc.n, tc.count, tc.medoidCap, dist, r1)
+		want := scatterMedoidNaive(tc.n, tc.count, tc.medoidCap, dist, r2)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%+v: ScatterMedoid %v, per-pair %v", tc, got, want)
+		}
+		if a, b := r1.Int63(), r2.Int63(); a != b {
+			t.Fatalf("%+v: rng diverged after the call", tc)
+		}
 	}
 }

@@ -1,11 +1,11 @@
 package model
 
 import (
-	"math"
 	"sync"
 
 	"rock/internal/dataset"
 	"rock/internal/label"
+	"rock/internal/simjoin"
 )
 
 // The compiled assign path. The §4.6 labeling rule needs, for a query
@@ -17,75 +17,15 @@ import (
 // one-hot rows), so one pass over the query's items accumulates |t ∩ q| for
 // exactly the labeled transactions that share an item with t. Every built-in
 // set measure (Jaccard, Dice, overlap, cosine) is a function of
-// (|t ∩ q|, |t|, |q|) alone, evaluated here with the very same float64
-// arithmetic as internal/sim, so the neighbor predicate — and therefore the
-// winning (cluster, score) — is bit-identical to the scan path.
+// (|t ∩ q|, |t|, |q|) alone, evaluated here by simjoin.Measure.Eval — the
+// very same float64 arithmetic as internal/sim, and the one count form the
+// neighbor join and the stream fold use too — so the neighbor predicate, and
+// therefore the winning (cluster, score), is bit-identical to the scan path.
 //
 // Work per query drops from Σ|L_i| merge scans to Σ_{item ∈ t} |posting(item)|
 // counter bumps plus one float compare per candidate with nonzero overlap.
 // All per-query state lives in a pooled scratch buffer, so steady-state
 // assignment does zero allocations.
-
-// simKind enumerates the built-in count-based measures the compiled path
-// understands. Any other similarity (expert tables, future registrations)
-// keeps the scan path.
-type simKind int
-
-const (
-	simOther simKind = iota
-	simJaccard
-	simDice
-	simOverlap
-	simCosine
-)
-
-func simKindOf(name string) simKind {
-	switch name {
-	case "jaccard":
-		return simJaccard
-	case "dice":
-		return simDice
-	case "overlap":
-		return simOverlap
-	case "cosine":
-		return simCosine
-	}
-	return simOther
-}
-
-// fromCounts evaluates the measure from (|a ∩ b|, |a|, |b|) with float64
-// operations identical — operation for operation — to the TxnFunc in
-// internal/sim, so comparisons against theta land on the same side.
-func (k simKind) fromCounts(inter, la, lb int) float64 {
-	switch k {
-	case simJaccard:
-		union := la + lb - inter
-		if union == 0 {
-			return 0
-		}
-		return float64(inter) / float64(union)
-	case simDice:
-		if la+lb == 0 {
-			return 0
-		}
-		return 2 * float64(inter) / float64(la+lb)
-	case simOverlap:
-		m := la
-		if lb < m {
-			m = lb
-		}
-		if m == 0 {
-			return 0
-		}
-		return float64(inter) / float64(m)
-	case simCosine:
-		if la == 0 || lb == 0 {
-			return 0
-		}
-		return float64(inter) / math.Sqrt(float64(la)*float64(lb))
-	}
-	panic("model: fromCounts on non-count measure")
-}
 
 // denseLookupMax bounds the dense item → posting-list translation table (in
 // entries; 4 bytes each). Models whose item universe exceeds it fall back to
@@ -94,8 +34,8 @@ const denseLookupMax = 1 << 21
 
 // compiled is the posting-list index built at Compile() time.
 type compiled struct {
-	kind  simKind
-	theta float64
+	measure simjoin.Measure
+	theta   float64
 	// txnLen[q] is |Txns[q]|.
 	txnLen []int32
 	// setsOfStart/setsOf map labeled-transaction q to the set indices that
@@ -126,12 +66,13 @@ type scratch struct {
 }
 
 // newCompiled builds the posting-list index, or returns nil when the model
-// cannot use it: a non-count-based measure, or labeled transactions that are
-// not normalized (the scan path's merge-intersect then defines the answer,
-// and the posting path could diverge from it).
+// cannot use it: a measure with no count form (no simjoin.Measure), or
+// labeled transactions that are not normalized (the scan path's
+// merge-intersect then defines the answer, and the posting path could
+// diverge from it).
 func newCompiled(s *Snapshot) *compiled {
-	kind := simKindOf(s.SimName)
-	if kind == simOther {
+	measure, ok := simjoin.MeasureByName(s.SimName)
+	if !ok {
 		return nil
 	}
 	for _, t := range s.Txns {
@@ -140,9 +81,9 @@ func newCompiled(s *Snapshot) *compiled {
 		}
 	}
 	c := &compiled{
-		kind:   kind,
-		theta:  s.Theta,
-		txnLen: make([]int32, len(s.Txns)),
+		measure: measure,
+		theta:   s.Theta,
+		txnLen:  make([]int32, len(s.Txns)),
 	}
 	// q → owning sets, CSR.
 	memberships := 0
@@ -276,7 +217,7 @@ func (c *compiled) assign(sets []label.Set, t dataset.Transaction) (int, float64
 	for _, q := range touched {
 		inter := int(sc.counts[q])
 		sc.counts[q] = 0
-		if c.kind.fromCounts(inter, la, int(c.txnLen[q])) >= c.theta {
+		if c.measure.Eval(inter, la, int(c.txnLen[q])) >= c.theta {
 			for _, si := range c.setsOf[c.setsOfStart[q]:c.setsOfStart[q+1]] {
 				sc.setN[si]++
 			}

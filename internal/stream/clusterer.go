@@ -15,6 +15,12 @@
 //     count to a cluster is computed against that universe, and the fold
 //     decision is the paper's Eq. 2 goodness criterion with n_j = 1:
 //     crossLinks(t, C) / ((n+1)^(1+2f) - n^(1+2f) - 1).
+//   - An item → slot posting index over the live representatives (repIndex)
+//     answers every theta-adjacency question about them — an arrival's
+//     neighbors, a new representative's neighbors, which clusters a pool
+//     group could merge into — from exact intersection counts and the same
+//     float predicate as internal/sim; above theta 0 only representatives
+//     sharing an item with the query are examined.
 //   - Arrivals that fit no cluster land in a bounded outlier pool indexed by
 //     the incremental prefix-filter join (simjoin.IncIndex). The pool is
 //     periodically re-clustered with the full ROCK algorithm; dense groups
@@ -29,6 +35,7 @@ package stream
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,8 +60,11 @@ type Config struct {
 	F func(theta float64) float64
 
 	// NumRep is the number of representative transactions kept per cluster
-	// (default 8). Representatives are what arrivals are compared against,
-	// so fold cost is O(clusters · NumRep) similarity evaluations.
+	// (default 8). Representatives are what arrivals are compared against.
+	// The comparison is posting-driven: an arrival costs one counter bump
+	// per (item, representative containing it) plus one count-form
+	// similarity per representative sharing an item, not a similarity
+	// evaluation per representative of every cluster.
 	NumRep int
 	// MinFoldGoodness is the Eq. 2 goodness an arrival must reach against
 	// its best cluster to be absorbed (default 0.2). True members score an
@@ -223,8 +233,16 @@ type Clusterer struct {
 	rng   *rand.Rand
 
 	d        *links.Dynamic
-	clusters []*cluster // ascending stable id; clusters are never removed
+	reps     *repIndex  // the live representatives of d, by item
+	clusters []*cluster // stable id = position; clusters are never removed
 	nextID   int
+
+	// bestCluster scratch, cleared after each use: the arrival's neighbor
+	// probe over d's slots, direct adjacencies per cluster id, and the ids
+	// with a nonzero count.
+	probe  []uint64
+	direct []int32
+	cands  []int32
 
 	pool *pool
 
@@ -274,6 +292,7 @@ func New(cfg Config) *Clusterer {
 		simF:   simF,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		d:      links.NewDynamic(),
+		reps:   newRepIndex(measure, cfg.Theta),
 		pool:   newPool(measure, cfg.Theta),
 		window: make([]uint8, cfg.windowSize()),
 	}
@@ -312,45 +331,52 @@ func (c *Clusterer) Observe(t dataset.Transaction) Disposition {
 	return Disposition{}
 }
 
-// bestCluster evaluates the arrival against every cluster's representatives
+// bestCluster evaluates the arrival against the clusters it is adjacent to
 // and returns the best-goodness candidate. The link universe is the set of
 // all live representatives: N(t) within it is the probe bitset, and
 // crossLinks(t, C) = sum over C's reps r of |N(t) ∩ N(r)|, plus one for each
 // rep directly theta-adjacent to t (the arrival itself witnesses that pair —
 // without the bonus a single-representative cluster could never score).
+// A cluster with no rep adjacent to t is no candidate, so only the clusters
+// owning a slot in the rep index's answer are scored, in ascending id — the
+// order of c.clusters, which keeps the strict > on the first maximum.
 func (c *Clusterer) bestCluster(t dataset.Transaction) (*cluster, float64) {
 	if len(c.clusters) == 0 {
 		return nil, 0
 	}
-	probe := c.d.NewProbe()
-	type candidate struct {
-		cl     *cluster
-		direct int
+	if need := (c.d.Slots() + 63) / 64; len(c.probe) < need {
+		c.probe = make([]uint64, need)
 	}
-	var cands []candidate
-	for _, cl := range c.clusters {
-		direct := 0
-		for i, r := range cl.repTxns {
-			if c.simF(t, r) >= c.theta {
-				c.d.Mark(probe, cl.repSlots[i])
-				direct++
-			}
-		}
-		if direct > 0 {
-			cands = append(cands, candidate{cl, direct})
-		}
+	for len(c.direct) < len(c.clusters) {
+		c.direct = append(c.direct, 0)
 	}
+	adj := c.reps.adjacent(t)
+	for _, s := range adj {
+		c.d.Mark(c.probe, s)
+		o := c.reps.owner[s]
+		if c.direct[o] == 0 {
+			c.cands = append(c.cands, o)
+		}
+		c.direct[o]++
+	}
+	slices.Sort(c.cands)
 	var best *cluster
 	bestG := 0.0
-	for _, cd := range cands {
-		cross := cd.direct
-		for _, s := range cd.cl.repSlots {
-			cross += c.d.Common(probe, s)
+	for _, o := range c.cands {
+		cl := c.clusters[o]
+		cross := int(c.direct[o])
+		for _, s := range cl.repSlots {
+			cross += c.d.Common(c.probe, s)
 		}
-		g := float64(cross) / rockcore.ExpectedCrossLinks(len(cd.cl.repSlots), 1, c.f)
+		g := float64(cross) / rockcore.ExpectedCrossLinks(len(cl.repSlots), 1, c.f)
 		if g > bestG {
-			bestG, best = g, cd.cl
+			bestG, best = g, cl
 		}
+		c.direct[o] = 0
+	}
+	c.cands = c.cands[:0]
+	for _, s := range adj {
+		c.probe[s>>6] = 0
 	}
 	return best, bestG
 }
@@ -412,6 +438,7 @@ func (c *Clusterer) refreshReps(cl *cluster) {
 	}
 	for _, s := range cl.repSlots {
 		c.d.Remove(s)
+		c.reps.remove(s)
 	}
 	cl.repSlots = cl.repSlots[:0]
 	c.registerReps(cl, reps)
@@ -423,42 +450,16 @@ func (c *Clusterer) refreshReps(cl *cluster) {
 const scatterMedoidCap = 512
 
 // registerReps installs reps as cl's representatives, wiring each into the
-// Dynamic link universe with its theta-adjacencies against every live
-// representative (including reps of cl registered earlier in this call).
+// Dynamic link universe and the rep index with its theta-adjacencies
+// against every live representative — including reps of cl inserted
+// earlier in this call.
 func (c *Clusterer) registerReps(cl *cluster, reps []dataset.Transaction) {
 	cl.repTxns = reps
-	var nbrs []int32
 	for _, r := range reps {
-		nbrs = nbrs[:0]
-		for _, other := range c.clusters {
-			for i, s := range other.repSlots {
-				if c.simF(r, other.repTxns[i]) >= c.theta {
-					nbrs = append(nbrs, s)
-				}
-			}
-		}
-		// cl may not be in c.clusters yet (promotion registers before
-		// appending); its own earlier reps still need adjacency.
-		if !c.hasCluster(cl) {
-			for i, s := range cl.repSlots {
-				if c.simF(r, cl.repTxns[i]) >= c.theta {
-					nbrs = append(nbrs, s)
-				}
-			}
-		}
-		cl.repSlots = append(cl.repSlots, c.d.Add(nbrs))
+		s := c.d.Add(c.reps.adjacent(r))
+		c.reps.add(s, r, cl.id)
+		cl.repSlots = append(cl.repSlots, s)
 	}
-	// repTxns was replaced wholesale; keep only as many as got slots.
-	cl.repTxns = cl.repTxns[:len(cl.repSlots)]
-}
-
-func (c *Clusterer) hasCluster(cl *cluster) bool {
-	for _, x := range c.clusters {
-		if x == cl {
-			return true
-		}
-	}
-	return false
 }
 
 // pushWindow records one fold outcome (1 = pooled) in the sliding window.

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"slices"
+
 	"rock/internal/cure"
 	"rock/internal/dataset"
 	"rock/internal/rockcore"
@@ -163,10 +165,24 @@ func (c *Clusterer) scatterTxns(txns []dataset.Transaction) []dataset.Transactio
 // plus one per directly adjacent pair (same bonus as the fold path). Two
 // rep sets drawn from the same distribution are densely adjacent and score
 // far above MinMergeGoodness; genuinely distinct clusters score zero.
+//
+// Only clusters owning a rep adjacent to some candidate rep are scored, in
+// ascending id. That skips no winner: every cross term needs an adjacency
+// between the two sets — a direct pair, or a common neighbor k, which lies
+// in one set and is adjacent to a member of the other — so a skipped
+// cluster scores exactly 0, which never beats bestG = 0.
 func (c *Clusterer) mergeTarget(cand []dataset.Transaction) *cluster {
+	var ids []int32
+	for _, r := range cand {
+		for _, s := range c.reps.adjacent(r) {
+			ids = append(ids, c.reps.owner[s])
+		}
+	}
+	slices.Sort(ids)
 	var best *cluster
 	bestG := 0.0
-	for _, cl := range c.clusters {
+	for _, id := range slices.Compact(ids) {
+		cl := c.clusters[id]
 		g := c.repSetGoodness(cand, cl.repTxns)
 		if g > bestG {
 			bestG, best = g, cl

@@ -82,7 +82,14 @@ func (c *Clusterer) Seed(snap *model.Snapshot) error {
 		cl := &cluster{id: c.nextID, size: int64(len(set.Points))}
 		c.nextID++
 		for _, p := range set.Points {
-			c.reservoirAdd(cl, snap.Txns[p])
+			// The fold treats transactions as item sets, as Observe does;
+			// the rep index counts intersections over normalized ones.
+			t := snap.Txns[p]
+			if !t.IsNormalized() {
+				t = t.Clone()
+				t.Normalize()
+			}
+			c.reservoirAdd(cl, t)
 		}
 		c.registerReps(cl, c.scatterTxns(cl.labeled))
 		c.clusters = append(c.clusters, cl)
