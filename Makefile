@@ -13,7 +13,7 @@
 #                     SIGKILL-and-resume, reload retries) under -race
 #   make check    all of the above
 #   make bench    benchmark harness (short mode)
-#   make benchjoin  brute vs indexed neighbor-join sweep (full size)
+#   make benchjoin  brute vs indexed neighbor-join sweep + Table 3 join (full size)
 #   make benchtrain  out-of-core trainer memory-budget sweep (EXPERIMENTS.md)
 #   make benchassign  assign hot path: scan vs compiled × codec sweep + 3x guard
 #   make stream-soak  online-clustering soak: rockstream feeding a drifting
@@ -85,10 +85,11 @@ check: verify race vet faults chaos multitenant trainfaults stream-soak
 bench:
 	$(GO) test -short -bench=. -benchmem ./...
 
-# The inverted-index threshold join against the brute-force O(n²) neighbor
-# sweep, across sample size, theta and basket size (EXPERIMENTS.md table).
+# The set-similarity join (Join's chosen engine) against the brute-force
+# O(n²) neighbor sweep, across sample size, theta and basket size, plus the
+# Table 3 records (EXPERIMENTS.md table).
 benchjoin:
-	$(GO) test -run '^$$' -bench 'Neighbors(Brute|Indexed)' -benchmem -timeout 30m .
+	$(GO) test -run '^$$' -bench 'Neighbors(Brute|Indexed|Mushroom)' -benchmem -timeout 30m .
 
 # The sharded trainer over the basket workload at 115k / 1.15M / 11.5M
 # transactions under a fixed per-shard memory budget (EXPERIMENTS.md

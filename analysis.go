@@ -38,8 +38,9 @@ func Components(txns []Transaction, theta float64, similarity TxnSimilarity) [][
 	if similarity == nil {
 		similarity = sim.Jaccard
 	}
-	// Same engine selection as ClusterTransactions: indexed join for the
-	// named set measures, brute force otherwise.
+	// Same engine selection as ClusterTransactions: the set-similarity join
+	// (prefix index or bitmap sweep, by its cost rule) for the named set
+	// measures, brute force otherwise.
 	nb := simjoin.NewSource(txns, similarity).ComputeNeighbors(links.Config{Theta: theta})
 	comps := rockcore.ConnectedComponents(nb.Lists)
 	sortClustersBySize(comps)

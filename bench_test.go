@@ -229,9 +229,31 @@ func BenchmarkNeighborsIndexed(b *testing.B) {
 	}
 }
 
+// BenchmarkNeighborsMushroom joins the Table 3 records at the paper's
+// θ = 0.8: dense categorical records on which the prefix filter prunes
+// nothing, so Join takes the item-bitmap sweep.
+func BenchmarkNeighborsMushroom(b *testing.B) {
+	md := datagen.Mushroom(datagen.DefaultMushroomConfig(), rand.New(rand.NewSource(experiments.DefaultSeed)))
+	txns := dataset.NewEncoder(md.Schema).EncodeAll(md.Records)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		simjoin.Join(txns, simjoin.Jaccard, experiments.MushroomROCKConfig.Theta, 0)
+	}
+}
+
+// joinEngines are simjoin's two exact engines, each forced regardless of
+// Join's cost rule, so the equivalence test covers both on every corpus.
+var joinEngines = []struct {
+	name string
+	join func([]rock.Transaction, simjoin.Measure, float64, int) *links.Neighbors
+}{
+	{"index", simjoin.JoinIndex},
+	{"sweep", simjoin.JoinSweep},
+}
+
 // TestIndexedNeighborsMatchBrute proves the equivalence claim on the exact
 // datasets the benchmark sweep uses: for every case (and every set measure
-// on the mid-size case) the indexed join returns bit-identical
+// on the mid-size case) both join engines return bit-identical
 // Neighbors.Lists. Short mode trims to the small corpus, as the benchmarks
 // do; a full run covers the 20k paper-scale corpora.
 func TestIndexedNeighborsMatchBrute(t *testing.T) {
@@ -247,9 +269,11 @@ func TestIndexedNeighborsMatchBrute(t *testing.T) {
 				t.Fatalf("measure %v not registered", m)
 			}
 			want := links.ComputeNeighbors(len(txns), sim.ByIndex(txns, f), links.Config{Theta: c.theta})
-			got := simjoin.Join(txns, m, c.theta, 0)
-			if !reflect.DeepEqual(got.Lists, want.Lists) {
-				t.Errorf("%s measure=%v: indexed lists differ from brute force", c.name(), m)
+			for _, e := range joinEngines {
+				got := e.join(txns, m, c.theta, 0)
+				if !reflect.DeepEqual(got.Lists, want.Lists) {
+					t.Errorf("%s measure=%v engine=%s: lists differ from brute force", c.name(), m, e.name)
+				}
 			}
 		}
 	}

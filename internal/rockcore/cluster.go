@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"time"
 
 	"rock/internal/iheap"
 	"rock/internal/links"
@@ -86,6 +87,28 @@ type Stats struct {
 	// LinkPairs is the number of unordered point pairs with positive link
 	// counts — the link table's size.
 	LinkPairs int
+	// Timings are the wall-clock durations of the run's phases. They vary
+	// from run to run, so comparisons of results for identity leave them
+	// out.
+	Timings
+}
+
+// Timings records where a clustering run spent its time. The phases do not
+// overlap, so their sum is at most the run's wall time.
+type Timings struct {
+	// Neighbors is the θ-neighbor computation. Only ClusterSource (and so
+	// Cluster) computes neighbors; it is zero when the caller supplies the
+	// neighbor lists to ClusterNeighbors.
+	Neighbors time.Duration
+	// Links is the Figure 4 link computation.
+	Links time.Duration
+	// Heap is steps 1-4 of Figure 3: the per-cluster link lists, the local
+	// heaps and the global heap.
+	Heap time.Duration
+	// Merge is the Figure 3 merge loop, weeding excluded.
+	Merge time.Duration
+	// Weed is the Section 4.6 small-cluster weeding.
+	Weed time.Duration
 }
 
 // MergeStep describes one agglomeration step for trace consumers.
@@ -148,8 +171,15 @@ func ClusterSource(src links.NeighborSource, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	nb := src.ComputeNeighbors(links.Config{Theta: cfg.Theta, Workers: cfg.Workers})
-	return ClusterNeighbors(nb, cfg)
+	neighbors := time.Since(start)
+	res, err := ClusterNeighbors(nb, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.Neighbors = neighbors
+	return res, nil
 }
 
 func (c Config) validate() error {
@@ -193,9 +223,17 @@ func ClusterNeighbors(nb *links.Neighbors, cfg Config) (*Result, error) {
 
 	// The link table is not held past newState: the merge loop runs on
 	// the per-cluster lists built from it, so the table can be freed.
-	st := newState(links.ComputeParallel(nb, cfg.denseLimit(), cfg.Workers), cfg)
-	res.Stats.LinkPairs = st.linkPairs
+	start := time.Now()
+	table := links.ComputeParallel(nb, cfg.denseLimit(), cfg.Workers)
+	heapStart := time.Now()
+	st := newState(table, cfg)
+	mergeStart := time.Now()
 	st.run()
+	res.Stats.Links = heapStart.Sub(start)
+	res.Stats.Heap = mergeStart.Sub(heapStart)
+	res.Stats.Weed = st.weedTime
+	res.Stats.Merge = time.Since(mergeStart) - st.weedTime
+	res.Stats.LinkPairs = st.linkPairs
 
 	res.Stats.Merges = st.merges
 	res.Stats.StoppedNoLinks = st.stoppedNoLinks
@@ -294,6 +332,7 @@ type state struct {
 	weeded         []int32
 	stoppedNoLinks bool
 	weedAt         int // pause point for outlier weeding; 0 = disabled
+	weedTime       time.Duration
 	trace          []MergeStep
 }
 
@@ -487,6 +526,8 @@ func (st *state) mergeLinks(a, b []link) []link {
 // point, clusters with support below MinClusterSize are removed outright and
 // their members become outliers; merging then resumes toward K.
 func (st *state) weed() {
+	start := time.Now()
+	defer func() { st.weedTime += time.Since(start) }()
 	var victims []int
 	for id, c := range st.cs {
 		if c != nil && c.size < st.cfg.MinClusterSize {

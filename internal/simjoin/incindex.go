@@ -240,9 +240,10 @@ func (ix *IncIndex) probe(self int32, rec []int32) []int32 {
 }
 
 // rebuild re-ranks every item by (document frequency, item id) ascending and
-// reindexes the corpus — the batch buildIndex applied to the accumulated
-// stream. Ranks frozen since the last rebuild stay mutually consistent in
-// between, so this is purely a performance refresh, never a correctness one.
+// reindexes the corpus — the batch rankRecords and fillPostings applied to
+// the accumulated stream. Ranks frozen since the last rebuild stay mutually
+// consistent in between, so this is purely a performance refresh, never a
+// correctness one.
 func (ix *IncIndex) rebuild() {
 	uniq := make([]dataset.Item, 0, len(ix.df))
 	for it := range ix.df {

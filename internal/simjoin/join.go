@@ -19,8 +19,8 @@ type posting struct {
 	pos int32
 }
 
-// Join computes the theta-neighbor lists of the corpus under measure m using
-// the inverted-index threshold join. The result is bit-identical to
+// Join computes the theta-neighbor lists of the corpus under measure m. The
+// result is bit-identical to
 //
 //	links.ComputeNeighbors(len(txns), sim.ByIndex(txns, f), cfg)
 //
@@ -29,14 +29,44 @@ type posting struct {
 // force otherwise. theta <= 0 defeats every filter (any pair, even two empty
 // transactions, qualifies), so that case is delegated to the brute-force
 // path as well.
+//
+// Two exact engines share the document-frequency ranking, and Join picks
+// one per call from the prefix-posting counts the ranking yields (see
+// preferSweep): the prefix index (JoinIndex), which is sub-quadratic when
+// prefixes are selective, and the item-bitmap sweep (JoinSweep), which
+// wins on dense corpora where the prefixes prune nothing.
 func Join(txns []dataset.Transaction, m Measure, theta float64, workers int) *links.Neighbors {
+	return join(txns, m, theta, workers, preferSweep)
+}
+
+// JoinIndex is Join forced onto the prefix-index engine.
+func JoinIndex(txns []dataset.Transaction, m Measure, theta float64, workers int) *links.Neighbors {
+	return join(txns, m, theta, workers, func([]int32, int, int) bool { return false })
+}
+
+// JoinSweep is Join forced onto the item-bitmap sweep.
+func JoinSweep(txns []dataset.Transaction, m Measure, theta float64, workers int) *links.Neighbors {
+	return join(txns, m, theta, workers, func([]int32, int, int) bool { return true })
+}
+
+// join runs the engine sweep selects, given the ranked corpus's per-item
+// prefix-posting counts, its size and its bitmap width in words.
+func join(txns []dataset.Transaction, m Measure, theta float64, workers int, sweep func(counts []int32, n, words int) bool) *links.Neighbors {
 	if theta <= 0 {
 		return bruteForce(txns, m, theta, workers)
 	}
 	n := len(txns)
 	lists := make([][]int32, n)
 	if n > 1 {
-		ix := buildIndex(txns, m, theta)
+		ix, counts := rankRecords(txns, m, theta)
+		var stripe func(g, w int)
+		if words := (len(counts) + 63) / 64; sweep(counts, n, words) {
+			bm := ix.bitmaps((words + 1) / 2)
+			stripe = func(g, w int) { sweepStripe(ix, bm, m, theta, g, w, lists) }
+		} else {
+			ix.fillPostings(counts)
+			stripe = func(g, w int) { probeStripe(ix, m, theta, g, w, lists) }
+		}
 		w := workers
 		if w <= 0 {
 			w = runtime.GOMAXPROCS(0)
@@ -45,14 +75,14 @@ func Join(txns []dataset.Transaction, m Measure, theta float64, workers int) *li
 			w = n
 		}
 		if w <= 1 {
-			probeStripe(ix, m, theta, 0, 1, lists)
+			stripe(0, 1)
 		} else {
 			var wg sync.WaitGroup
 			for g := 0; g < w; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					probeStripe(ix, m, theta, g, w, lists)
+					stripe(g, w)
 				}(g)
 			}
 			wg.Wait()
@@ -60,6 +90,30 @@ func Join(txns []dataset.Transaction, m Measure, theta float64, workers int) *li
 	}
 	links.Mirror(lists)
 	return &links.Neighbors{Lists: lists}
+}
+
+// hitPerWord is the cost of one prefix-index candidate hit (posting read,
+// dedup stamp, length and positional filters, early-exit merge) in units of
+// one sweep word (AND + popcount + count update). Measured single-worker on
+// a 2-vCPU Xeon over the benchjoin basket rows and the Table 3 records:
+// ≈22–44 ns per hit against ≈2–5 ns per word. At 8, the rows where the rule
+// picks the index (8H/(pairs·W) of 0.48–0.63) are the ones where the two
+// engines' medians lie within 16% of each other with the index ahead or
+// level, and every row from 1.4 up runs 1.36–8.8× faster on the sweep
+// (EXPERIMENTS.md).
+const hitPerWord = 8
+
+// preferSweep reports whether the item-bitmap sweep is expected to beat the
+// prefix index. Item r's c_r prefix postings generate c_r(c_r−1)/2
+// candidate hits, so the index does H = Σ c_r(c_r−1)/2 hits where the sweep
+// does n(n−1)/2 · words word operations.
+func preferSweep(counts []int32, n, words int) bool {
+	var hits float64
+	for _, c := range counts {
+		hits += float64(c) * float64(c-1) / 2
+	}
+	pairs := float64(n) * float64(n-1) / 2
+	return hitPerWord*hits >= pairs*float64(words)
 }
 
 // bruteForce is the exact fallback used when theta prunes nothing.
@@ -82,21 +136,22 @@ func (m Measure) String() string {
 	}
 }
 
-// index is the immutable shared state the probe workers read.
+// index is the immutable shared state the stripe workers read. postings is
+// filled only when the prefix-index engine runs.
 type index struct {
 	recs     [][]int32 // per record: item ranks, sorted ascending (rarest first)
 	beta     []int32   // per record length: minOverlapAny
 	postings [][]posting
 }
 
-// buildIndex remaps items by ascending document frequency and indexes every
-// record on its filter prefix.
+// rankRecords remaps items by ascending document frequency and returns the
+// ranked records together with each rank's prefix-posting count.
 //
 // The remap does double duty: prefixes hold each record's *rarest* items, so
 // posting lists stay short exactly where they are probed most, and items
 // common across natural clusters (high document frequency) sort to the ends
 // of records where the prefix filter never touches them.
-func buildIndex(txns []dataset.Transaction, m Measure, theta float64) *index {
+func rankRecords(txns []dataset.Transaction, m Measure, theta float64) (*index, []int32) {
 	n := len(txns)
 
 	// Document frequency per item. Transactions are duplicate-free, so each
@@ -144,15 +199,20 @@ func buildIndex(txns []dataset.Transaction, m Measure, theta float64) *index {
 		ix.beta[l] = int32(m.minOverlapAny(l, theta))
 	}
 
-	// Exact-size posting lists: count prefix items, then fill in record-id
-	// order so every list is sorted by id (the probe binary-searches on it).
 	counts := make([]int32, len(uniq))
 	for i, rec := range ix.recs {
 		for _, r := range rec[:prefixLen(ix, i)] {
 			counts[r]++
 		}
 	}
-	ix.postings = make([][]posting, len(uniq))
+	return ix, counts
+}
+
+// fillPostings indexes every record on its filter prefix. Lists are
+// allocated at their exact counts and filled in record-id order, so every
+// list is sorted by id (the probe binary-searches on it).
+func (ix *index) fillPostings(counts []int32) {
+	ix.postings = make([][]posting, len(counts))
 	for r, c := range counts {
 		if c > 0 {
 			ix.postings[r] = make([]posting, 0, c)
@@ -163,7 +223,23 @@ func buildIndex(txns []dataset.Transaction, m Measure, theta float64) *index {
 			ix.postings[r] = append(ix.postings[r], posting{id: int32(i), pos: int32(p)})
 		}
 	}
-	return ix
+}
+
+// bitmaps returns the records as bitmaps over item ranks in blocks of 128
+// items, stored block by block: bit r of record i is bit r&63 of word
+// (r>>6)&1 of block (r>>7)*n + i. This layout lets the sweep stream one
+// block of every j > i past record i's block held in registers; a per-pair
+// loop over the W words of row-major bitmaps spilled its state and ran
+// ~1.6× slower on the Table 3 records.
+func (ix *index) bitmaps(blocks int) [][2]uint64 {
+	n := len(ix.recs)
+	bm := make([][2]uint64, blocks*n)
+	for i, rec := range ix.recs {
+		for _, r := range rec {
+			bm[int(r>>7)*n+i][(r>>6)&1] |= 1 << (uint(r) & 63)
+		}
+	}
+	return bm
 }
 
 // prefixLen returns the filter-prefix length of record i: a pair reaching
@@ -183,6 +259,80 @@ func totalItems(txns []dataset.Transaction) int {
 		s += len(t)
 	}
 	return s
+}
+
+// sweepStripe fills lists[i] with the neighbors j > i for every record i
+// in the worker's stripe by testing every such pair: the popcount of the
+// two bitmaps' AND is the exact intersection size, and the pair qualifies
+// iff it reaches minOverlapPair — the smallest size passing the float
+// predicate, so the decision matches the brute-force path bit for bit.
+// Rows are disjoint across workers; links.Mirror completes the lists.
+func sweepStripe(ix *index, bm [][2]uint64, m Measure, theta float64, g, w int, lists [][]int32) {
+	n := len(ix.recs)
+	lens := make([]int32, n)
+	var present []int32 // the distinct record lengths, for the per-row memo
+	seenLen := make([]bool, len(ix.beta))
+	for j, rec := range ix.recs {
+		lens[j] = int32(len(rec))
+		if !seenLen[len(rec)] {
+			seenLen[len(rec)] = true
+			present = append(present, int32(len(rec)))
+		}
+	}
+	// alphaByLen holds row i's minOverlapPair by partner length. A length
+	// the length filter rules out gets min(li, l)+1, which no intersection
+	// reaches.
+	alphaByLen := make([]int32, len(ix.beta))
+	inter := make([]int32, n)
+	var row []int32
+	for i := g; i < n; i += w {
+		li := int(lens[i])
+		if li == 0 {
+			continue
+		}
+		for _, l := range present {
+			alphaByLen[l] = int32(m.minOverlapPair(li, int(l), theta))
+		}
+		// Count |i ∩ j| for every j > i one bitmap block at a time; blocks
+		// where record i has no item contribute nothing and are skipped.
+		// The last block's pass also applies the threshold.
+		last := len(bm) - n
+		for bm[last+i] == ([2]uint64{}) {
+			last -= n
+		}
+		cnt := inter[i+1:]
+		clear(cnt)
+		for off := 0; off < last; off += n {
+			if a := bm[off+i]; a != ([2]uint64{}) {
+				countBlock(cnt, a, bm[off+i+1:off+n])
+			}
+		}
+		row = collectRow(row[:0], i, cnt, bm[last+i], bm[last+i+1:last+n], lens[i+1:], alphaByLen)
+		if len(row) > 0 {
+			lists[i] = slices.Clone(row)
+		}
+	}
+}
+
+// collectRow appends i+1+k to row for every k where cnt[k] plus
+// |a ∩ blk[k]| reaches record i+1+k's threshold.
+func collectRow(row []int32, i int, cnt []int32, a [2]uint64, blk [][2]uint64, lens, alphaByLen []int32) []int32 {
+	blk = blk[:len(cnt)]
+	lens = lens[:len(cnt)]
+	for k, b := range blk {
+		if cnt[k]+int32(bits.OnesCount64(a[0]&b[0])+bits.OnesCount64(a[1]&b[1])) >= alphaByLen[lens[k]] {
+			row = append(row, int32(i+1+k))
+		}
+	}
+	return row
+}
+
+// countBlock adds |a ∩ blk[k]| to cnt[k] for every k.
+func countBlock(cnt []int32, a [2]uint64, blk [][2]uint64) {
+	blk = blk[:len(cnt)]
+	for k, b := range blk {
+		cnt[k] += int32(bits.OnesCount64(a[0]&b[0]) + bits.OnesCount64(a[1]&b[1]))
+	}
 }
 
 // probeStripe fills lists[i] with the verified neighbors j > i for every

@@ -6,12 +6,24 @@ import (
 	"reflect"
 	"testing"
 
+	"rock/internal/datagen"
 	"rock/internal/dataset"
 	"rock/internal/links"
+	"rock/internal/sample"
 	"rock/internal/sim"
 )
 
 var allMeasures = []Measure{Jaccard, Dice, Cosine, Overlap}
+
+// engines are the two exact join engines, each forced regardless of Join's
+// cost rule, so every equivalence test covers both.
+var engines = []struct {
+	name string
+	join func([]dataset.Transaction, Measure, float64, int) *links.Neighbors
+}{
+	{"index", JoinIndex},
+	{"sweep", JoinSweep},
+}
 
 // brute is the reference: the O(n²) sweep the join must match bit for bit.
 func brute(txns []dataset.Transaction, m Measure, theta float64) *links.Neighbors {
@@ -45,28 +57,54 @@ func randomCorpus(rng *rand.Rand, n, vocab, maxItems int) []dataset.Transaction 
 	return txns
 }
 
+// universeCorpus is randomCorpus over exactly vocab distinct items: a
+// record holding every item pins the universe, so the sweep's bitmaps are
+// exactly vocab bits wide.
+func universeCorpus(rng *rand.Rand, n, vocab, maxItems int) []dataset.Transaction {
+	all := make([]dataset.Item, vocab)
+	for i := range all {
+		all[i] = dataset.Item(3 * i) // sparse ids: the rank remap must compact them
+	}
+	txns := randomCorpus(rng, n, vocab, maxItems)
+	for _, t := range txns {
+		for k, it := range t {
+			t[k] = all[it]
+		}
+	}
+	return append(txns, dataset.NewTransaction(all...))
+}
+
 // TestJoinMatchesBruteForce is the central equivalence property: for random
-// corpora × thresholds × all four set measures, the indexed join produces
-// exactly the brute-force neighbor lists.
+// corpora × thresholds × all four set measures, both join engines produce
+// exactly the brute-force neighbor lists. The universes of 63–129 items put
+// the sweep's bitmaps on and either side of its 64-bit word and 128-bit
+// block boundaries, and 7 workers exceed the smallest corpora's sizes.
 func TestJoinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	corpora := [][]dataset.Transaction{
 		nil,
 		{dataset.NewTransaction(1, 2, 3)},
+		{dataset.NewTransaction(1, 2, 3), dataset.NewTransaction(2, 3)},
+		{{}, dataset.NewTransaction(4)},
 		{{}, {}, {}},
 		randomCorpus(rng, 60, 12, 6),    // dense: most pairs overlap
 		randomCorpus(rng, 150, 200, 10), // sparse
 		randomCorpus(rng, 200, 40, 15),  // mid, bigger baskets
 	}
+	for _, vocab := range []int{63, 64, 65, 128, 129} {
+		corpora = append(corpora, universeCorpus(rng, 80, vocab, 2*vocab/3))
+	}
 	for ci, txns := range corpora {
 		for _, m := range allMeasures {
 			for _, theta := range []float64{0, 0.2, 0.5, 0.8, 1} {
 				want := brute(txns, m, theta)
-				for _, workers := range []int{1, 3} {
-					got := Join(txns, m, theta, workers)
-					if !reflect.DeepEqual(got.Lists, want.Lists) {
-						t.Errorf("corpus %d, %v, theta=%v, workers=%d: lists differ\n got %v\nwant %v",
-							ci, m, theta, workers, got.Lists, want.Lists)
+				for _, e := range engines {
+					for _, workers := range []int{1, 3, 7} {
+						got := e.join(txns, m, theta, workers)
+						if !reflect.DeepEqual(got.Lists, want.Lists) {
+							t.Errorf("corpus %d, %s, %v, theta=%v, workers=%d: lists differ\n got %v\nwant %v",
+								ci, e.name, m, theta, workers, got.Lists, want.Lists)
+						}
 					}
 				}
 			}
@@ -90,9 +128,11 @@ func TestJoinThetaEdge(t *testing.T) {
 	for _, m := range allMeasures {
 		for _, theta := range []float64{2.0 / 6, 0.5, 2.0/6 + 1e-16, 0.5 + 1e-16, 1} {
 			want := brute(txns, m, theta)
-			got := Join(txns, m, theta, 1)
-			if !reflect.DeepEqual(got.Lists, want.Lists) {
-				t.Errorf("%v theta=%v: got %v want %v", m, theta, got.Lists, want.Lists)
+			for _, e := range engines {
+				got := e.join(txns, m, theta, 1)
+				if !reflect.DeepEqual(got.Lists, want.Lists) {
+					t.Errorf("%s %v theta=%v: got %v want %v", e.name, m, theta, got.Lists, want.Lists)
+				}
 			}
 		}
 	}
@@ -202,9 +242,9 @@ func TestMeasureByName(t *testing.T) {
 	}
 }
 
-// TestJoinLargerRandom runs a bigger randomized sweep so the prefix,
-// length and positional filters all actually fire (it fails loudly if any
-// of them over-prunes).
+// TestJoinLargerRandom runs a bigger randomized sweep, on both engines, so
+// the prefix, length and positional filters all actually fire (it fails
+// loudly if any of them over-prunes).
 func TestJoinLargerRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("larger randomized equivalence sweep")
@@ -215,9 +255,11 @@ func TestJoinLargerRandom(t *testing.T) {
 		for _, m := range allMeasures {
 			theta := 0.1 + 0.85*rng.Float64()
 			want := brute(txns, m, theta)
-			got := Join(txns, m, theta, 2)
-			if !reflect.DeepEqual(got.Lists, want.Lists) {
-				t.Errorf("seed=%d %v theta=%v: lists differ", seed, m, theta)
+			for _, e := range engines {
+				got := e.join(txns, m, theta, 2)
+				if !reflect.DeepEqual(got.Lists, want.Lists) {
+					t.Errorf("seed=%d %s %v theta=%v: lists differ", seed, e.name, m, theta)
+				}
 			}
 		}
 	}
@@ -232,4 +274,60 @@ func ExampleJoin() {
 	nb := Join(txns, Jaccard, 0.5, 1)
 	fmt.Println(nb.Lists[0], nb.Lists[1], nb.Lists[2])
 	// Output: [1] [0] []
+}
+
+// basketSample draws n transactions from the Section 5.3 basket generator
+// with the given mean basket size, exactly as the root package's
+// neighbor-join benchmarks do.
+func basketSample(n int, mean float64) []dataset.Transaction {
+	cfg := datagen.DefaultBasketConfig()
+	if d := 114586 / n; d > 1 {
+		cfg = datagen.ScaledBasketConfig(d)
+	}
+	cfg.MeanSize = mean
+	cfg.StdSize = 1.72 * mean / 15
+	rng := rand.New(rand.NewSource(1))
+	d := datagen.Basket(cfg, rng)
+	idx := sample.Indices(len(d.Txns), n, rng)
+	sub := make([]dataset.Transaction, len(idx))
+	for i, p := range idx {
+		sub[i] = d.Txns[p]
+	}
+	return sub
+}
+
+// TestJoinEngineChoice pins Join's cost rule on corpora on both sides of
+// it: the dense Table 3 records, where the prefix filter prunes nothing,
+// take the sweep; the benchmark basket rows whose prefixes are selective
+// enough, and a sparse corpus over a large universe, keep the index.
+func TestJoinEngineChoice(t *testing.T) {
+	md := datagen.Mushroom(datagen.DefaultMushroomConfig(), rand.New(rand.NewSource(1)))
+	mushroom := dataset.NewEncoder(md.Schema).EncodeAll(md.Records)
+	cases := []struct {
+		name  string
+		txns  []dataset.Transaction
+		theta float64
+		sweep bool
+	}{
+		{"table3", mushroom, 0.5, true},
+		{"table3", mushroom, 0.8, true},
+		{"table3", mushroom, 0.9, true},
+		{"basket n=5000 mean=15", basketSample(5000, 15), 0.8, false},
+		{"basket n=5000 mean=8", basketSample(5000, 8), 0.5, false},
+		{"sparse", randomCorpus(rand.New(rand.NewSource(5)), 5000, 100000, 20), 0.5, false},
+	}
+	for _, c := range cases {
+		_, counts := rankRecords(c.txns, Jaccard, c.theta)
+		if got := preferSweep(counts, len(c.txns), (len(counts)+63)/64); got != c.sweep {
+			t.Errorf("%s theta=%v: preferSweep = %v, want %v", c.name, c.theta, got, c.sweep)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	// The Table 3 records at the paper's threshold, through both engines.
+	want := JoinIndex(mushroom, Jaccard, 0.8, 0)
+	if got := JoinSweep(mushroom, Jaccard, 0.8, 0); !reflect.DeepEqual(got.Lists, want.Lists) {
+		t.Error("table3 theta=0.8: sweep and index lists differ")
+	}
 }

@@ -1,18 +1,30 @@
 // Package simjoin implements an exact similarity threshold join over
 // transaction corpora: given a set similarity measure and a threshold theta,
 // it produces, for every transaction, the list of transactions with
-// sim >= theta — the neighbor lists of Section 3.1 of the ROCK paper —
-// without evaluating all n(n-1)/2 pairs.
+// sim >= theta — the neighbor lists of Section 3.1 of the ROCK paper.
 //
-// The engine is the classic inverted-index join (AllPairs/PPJoin family):
-// items are remapped so the rarest item sorts first, every record is indexed
-// only on a short prefix, and candidate pairs pass a length filter, a prefix
-// filter and a positional upper bound before an early-exit merge intersection
-// verifies them. All filters are derived from the *same floating-point
+// Two exact engines share one preparation: items are remapped so the rarest
+// item sorts first, and each record becomes a sorted array of item ranks.
+//
+//   - The prefix index is the classic inverted-index join (AllPairs/PPJoin
+//     family): every record is indexed only on a short prefix, and candidate
+//     pairs pass a length filter, a prefix filter and a positional upper
+//     bound before an early-exit merge intersection verifies them. It does
+//     not evaluate all n(n-1)/2 pairs, and it is the only sub-quadratic
+//     engine, so sparse corpora, high thresholds and the streaming IncIndex
+//     rely on it.
+//   - The item-bitmap sweep turns every record into a bitmap over the
+//     distinct items and takes the exact intersection size of every pair
+//     from popcounts of the bitmaps' AND. On dense categorical records,
+//     where the prefixes prune nothing, it beats the index's per-candidate
+//     work severalfold.
+//
+// Join chooses between them per call from the prefix-posting counts the
+// preparation yields. All bounds are derived from the *same floating-point
 // predicate* the brute-force path evaluates (sim(a, b) >= theta as computed
-// by internal/sim), so the output is bit-identical to links.ComputeNeighbors
-// for every input — the filters only ever discard pairs whose exact
-// similarity provably fails the predicate.
+// by internal/sim), so the output of either engine is bit-identical to
+// links.ComputeNeighbors for every input — the filters only ever discard
+// pairs whose exact similarity provably fails the predicate.
 package simjoin
 
 import (

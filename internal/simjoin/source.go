@@ -14,8 +14,8 @@ import (
 // index is wrong, since even pairs sharing no item qualify.
 const MinIndexTheta = 0.05
 
-// Source computes neighbor lists for a transaction corpus, selecting the
-// inverted-index threshold join when it applies and the brute-force
+// Source computes neighbor lists for a transaction corpus, selecting Join
+// (prefix index or item-bitmap sweep) when it applies and the brute-force
 // pairwise sweep otherwise. It implements links.NeighborSource, which is
 // how rock.ClusterTransactions and the pipeline pick the indexed path
 // without the core clustering code knowing about transactions at all.

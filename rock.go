@@ -123,9 +123,12 @@ func (c Config) txnSim() TxnSimilarity {
 // When the configured similarity is one of the named set measures (Jaccard,
 // Dice, cosine, overlap), the transactions are normalized, and Theta is
 // high enough to prune (simjoin.MinIndexTheta), the neighbor phase runs on
-// the inverted-index threshold join instead of the O(n²) pairwise sweep —
-// same neighbor lists, bit for bit, found near-linearly on sparse data.
-// Custom similarity functions and near-zero thresholds use brute force.
+// the exact set-similarity join instead of the O(n²) pairwise similarity
+// calls — same neighbor lists, bit for bit. The join picks its engine from
+// the data: a prefix index that finds neighbors near-linearly on sparse
+// data, or an item-bitmap sweep on dense records where prefixes cannot
+// prune. Custom similarity functions and near-zero thresholds use brute
+// force.
 func ClusterTransactions(txns []Transaction, cfg Config) (*Result, error) {
 	return rockcore.ClusterSource(simjoin.NewSource(txns, cfg.txnSim()), cfg.core())
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"rock"
 	"rock/internal/datagen"
@@ -147,6 +148,38 @@ func pipelineCfg(sampleSize int) rock.PipelineConfig {
 		},
 		SampleSize: sampleSize,
 		Seed:       7,
+	}
+}
+
+// TestStatsTimings checks the per-phase durations a run reports: each is
+// non-negative, the neighbor phase is timed, and the phases together take
+// no longer than the call that ran them.
+func TestStatsTimings(t *testing.T) {
+	txns := basketTestData(t).Txns[:800]
+	cfg := pipelineCfg(len(txns)).Cluster
+	start := time.Now()
+	res, err := rock.ClusterTransactions(txns, cfg)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.Merges == 0 || st.Weeded == 0 {
+		t.Fatalf("run too small to time every phase: %d merges, %d weeded", st.Merges, st.Weeded)
+	}
+	phases := []time.Duration{st.Neighbors, st.Links, st.Heap, st.Merge, st.Weed}
+	var sum time.Duration
+	for i, d := range phases {
+		if d < 0 {
+			t.Errorf("phase %d: duration %v < 0", i, d)
+		}
+		sum += d
+	}
+	if st.Neighbors == 0 {
+		t.Error("neighbor phase not timed")
+	}
+	if sum > wall {
+		t.Errorf("phases sum to %v, more than the call's %v (%+v)", sum, wall, st.Timings)
 	}
 }
 
