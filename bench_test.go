@@ -348,9 +348,9 @@ func BenchmarkLinksPath2Vs3(b *testing.B) {
 }
 
 // BenchmarkMergeLoopMushroom clusters the Table 3 records from their
-// precomputed θ = 0.8 neighbor lists with the Table 3 configuration (K = 20,
-// dense link table), so each iteration times the link table and the
-// Figure 3 merge loop without the neighbor join.
+// precomputed θ = 0.8 neighbor lists with the Table 3 configuration
+// (K = 20), so each iteration times the link lists and the Figure 3 merge
+// loop without the neighbor join.
 func BenchmarkMergeLoopMushroom(b *testing.B) {
 	md := datagen.Mushroom(datagen.DefaultMushroomConfig(), rand.New(rand.NewSource(experiments.DefaultSeed)))
 	txns := dataset.NewEncoder(md.Schema).EncodeAll(md.Records)
@@ -370,10 +370,10 @@ func BenchmarkMergeLoopMushroom(b *testing.B) {
 
 // BenchmarkMergeLoopBasket clusters a 5000-transaction sample of the Table 5
 // basket corpus from its precomputed θ = 0.5 neighbor lists at the Table 6
-// operating point (K = 10, pruning and weeding, dense link table), drawn as
-// the Table 6 pipeline draws it. Basket points have long link lists, which
-// the mushroom records do not; each iteration times the link table and the
-// Figure 3 merge loop without the neighbor join.
+// operating point (K = 10, pruning and weeding), drawn as the Table 6
+// pipeline draws it. Basket points have long link lists, which the mushroom
+// records do not; each iteration times the link lists and the Figure 3
+// merge loop without the neighbor join.
 func BenchmarkMergeLoopBasket(b *testing.B) {
 	pcfg := experiments.SyntheticPipelineConfig(5000, 0.5, experiments.DefaultSeed)
 	d := datagen.Basket(datagen.DefaultBasketConfig(), rand.New(rand.NewSource(pcfg.Seed)))

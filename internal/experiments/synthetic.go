@@ -73,9 +73,9 @@ func SyntheticPipelineConfig(sampleSize int, theta float64, seed int64) rock.Pip
 			MinNeighbors:   2,
 			StopMultiple:   3,
 			MinClusterSize: sampleSize / 100,
-			// Keep the dense link table across the whole sweep so the
-			// Figure 5 timings measure the algorithm, not a table-
-			// representation switch.
+			// Clustering ignores DenseLimit (it builds no link table);
+			// perfbench's link probe reads it to pick the table it
+			// times.
 			DenseLimit: 8192,
 		},
 		SampleSize:    sampleSize,

@@ -38,8 +38,10 @@ type Config struct {
 	// MinClusterSize is the support threshold for weeding. Zero disables
 	// weeding even when StopMultiple is set.
 	MinClusterSize int
-	// DenseLimit selects the link-table representation (see links.Compute).
-	// Zero means links.DefaultDenseLimit.
+	// DenseLimit is ignored. It chose the link table's representation
+	// when the merge loop was fed from a table; the loop's link lists now
+	// come straight from the neighbor graph (links.ComputeLists). The
+	// field stays so existing configurations keep compiling.
 	DenseLimit int
 	// Workers bounds parallelism in the O(n²) neighbor computation.
 	Workers int
@@ -62,13 +64,6 @@ func (c Config) f() float64 {
 	return DefaultF(c.Theta)
 }
 
-func (c Config) denseLimit() int {
-	if c.DenseLimit == 0 {
-		return links.DefaultDenseLimit
-	}
-	return c.DenseLimit
-}
-
 // Stats records diagnostics about a clustering run.
 type Stats struct {
 	// Points is the number of input points; Pruned of those were dropped
@@ -85,7 +80,9 @@ type Stats struct {
 	MaxDegree int
 	AvgDegree float64
 	// LinkPairs is the number of unordered point pairs with positive link
-	// counts — the link table's size.
+	// counts: the non-zero entries of the Figure 4 link table, and half
+	// the total length of the per-point link lists the merge loop starts
+	// from.
 	LinkPairs int
 	// Timings are the wall-clock durations of the run's phases. They vary
 	// from run to run, so comparisons of results for identity leave them
@@ -100,7 +97,8 @@ type Timings struct {
 	// Cluster) computes neighbors; it is zero when the caller supplies the
 	// neighbor lists to ClusterNeighbors.
 	Neighbors time.Duration
-	// Links is the Figure 4 link computation.
+	// Links is the Figure 4 link computation, which yields every point's
+	// sorted link list.
 	Links time.Duration
 	// Heap is steps 1-4 of Figure 3: the per-cluster link lists, the local
 	// heaps and the global heap.
@@ -193,8 +191,9 @@ func (c Config) validate() error {
 }
 
 // ClusterNeighbors clusters points whose neighbor graph has already been
-// computed. It applies MinNeighbors pruning, computes the link table with
-// the Figure 4 algorithm, and runs the Figure 3 merge loop.
+// computed. It applies MinNeighbors pruning, counts every point's links with
+// the Figure 4 algorithm straight into per-point link lists (no n×n link
+// table), and runs the Figure 3 merge loop on them.
 func ClusterNeighbors(nb *links.Neighbors, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -221,12 +220,10 @@ func ClusterNeighbors(nb *links.Neighbors, cfg Config) (*Result, error) {
 	res.Stats.MaxDegree = nb.MaxDegree()
 	res.Stats.AvgDegree = nb.AvgDegree()
 
-	// The link table is not held past newState: the merge loop runs on
-	// the per-cluster lists built from it, so the table can be freed.
 	start := time.Now()
-	table := links.ComputeParallel(nb, cfg.denseLimit(), cfg.Workers)
+	lists := links.ComputeLists(nb, cfg.Workers)
 	heapStart := time.Now()
-	st := newState(table, cfg)
+	st := newState(lists, cfg)
 	mergeStart := time.Now()
 	st.run()
 	res.Stats.Links = heapStart.Sub(start)
@@ -288,16 +285,19 @@ func identity(n int) []int {
 
 // link is one entry of a cluster's cross-link list: another cluster's id
 // and the number of cross links to it.
-type link struct{ id, n int32 }
+type link = links.Link
 
-func byID(a, b link) int { return cmp.Compare(a.id, b.id) }
+func byID(a, b link) int { return cmp.Compare(a.ID, b.ID) }
 
 // clusterState is one live cluster in the merge loop. Merged or weeded
 // clusters keep their ids forever and new clusters get fresh, increasing
 // ids, so a cross-link list stays sorted by id when a new cluster's entry is
 // appended, and entries pointing at dead ids are recognizably stale: they
 // are skipped on read (and dropped when the list is next merged), as are
-// dead targets at the top of the local heap, instead of being deleted.
+// dead targets at the top of the local heap, instead of being deleted. When
+// an append would outgrow a list whose dead entries outnumber its live
+// ones, the list sheds them in place instead, so a long-lived cluster's
+// list does not double in capacity with every few merges around it.
 //
 // The cross-link list holds every linked cluster, but the local heap holds
 // only the older ones: each linked pair (a, b), a < b, is a merge candidate
@@ -308,16 +308,17 @@ type clusterState struct {
 	members  []int32
 	internal int        // Σ link(p,q) over unordered intra-cluster pairs
 	links    []link     // cross-link counts sorted by id; may hold dead ids
+	dead     int        // entries of links whose cluster is dead
 	heap     iheap.Lazy // local heap q[i] over older linked clusters; stale entries skipped at top
 }
 
 // linksTo returns the cross-link count to cluster id (0 when unlinked).
 func (c *clusterState) linksTo(id int) int {
-	i, ok := slices.BinarySearchFunc(c.links, link{id: int32(id)}, byID)
+	i, ok := slices.BinarySearchFunc(c.links, link{ID: int32(id)}, byID)
 	if !ok {
 		return 0
 	}
-	return int(c.links[i].n)
+	return int(c.links[i].N)
 }
 
 // state carries the whole Figure 3 algorithm.
@@ -339,8 +340,11 @@ type state struct {
 // negInf is the global-heap priority of a cluster with an empty local heap.
 var negInf = math.Inf(-1)
 
-func newState(table links.Table, cfg Config) *state {
-	n := table.N()
+// newState takes ownership of lists, point i's sorted link list (as
+// links.ComputeLists returns it), as the singleton clusters' cross-link
+// lists.
+func newState(lists [][]link, cfg Config) *state {
+	n := len(lists)
 	st := &state{
 		cfg:         cfg,
 		pow:         newSizePow(cfg.f()),
@@ -352,30 +356,18 @@ func newState(table links.Table, cfg Config) *state {
 		st.weedAt = int(math.Ceil(cfg.StopMultiple * float64(cfg.K)))
 	}
 	// Steps 1-4 of Figure 3: one cluster per point, local heaps from the
-	// link table, global heap keyed by each cluster's best goodness. One
-	// pass over the table's pairs fills both endpoints' link lists; on the
-	// dense table it visits pairs row by row, so every list comes out
-	// sorted. Each point's local heap holds only the lower-numbered points
-	// it has links to — the prefix of its sorted list — so every linked
-	// pair is in exactly one heap and the heap sizes sum to the table's
-	// pair count.
-	for i := 0; i < n; i++ {
-		st.cs[i] = &clusterState{size: 1, members: []int32{int32(i)}}
-	}
-	table.ForEachPair(func(i, j, l int) {
-		ci, cj := st.cs[i], st.cs[j]
-		ci.links = append(ci.links, link{int32(j), int32(l)})
-		cj.links = append(cj.links, link{int32(i), int32(l)})
-	})
-	for i, c := range st.cs {
-		if !slices.IsSortedFunc(c.links, byID) {
-			slices.SortFunc(c.links, byID)
-		}
-		older, _ := slices.BinarySearchFunc(c.links, link{id: int32(i)}, byID)
+	// link lists, global heap keyed by each cluster's best goodness. Each
+	// point's local heap holds only the lower-numbered points it has links
+	// to — the prefix of its sorted list — so every linked pair is in
+	// exactly one heap and the heap sizes sum to the linked pair count.
+	for i, l := range lists {
+		c := &clusterState{size: 1, members: []int32{int32(i)}, links: l}
+		st.cs[i] = c
+		older, _ := slices.BinarySearchFunc(l, link{ID: int32(i)}, byID)
 		st.linkPairs += older
 		es := make([]iheap.LazyEntry, older)
-		for k, e := range c.links[:older] {
-			es[k] = iheap.LazyEntry{Key: e.id, Pri: st.goodness(int(e.n), 1, 1)}
+		for k, e := range l[:older] {
+			es[k] = iheap.LazyEntry{Key: e.ID, Pri: st.goodness(int(e.N), 1, 1)}
 		}
 		c.heap.Init(es)
 		pri, partner := st.localBest(i)
@@ -471,11 +463,15 @@ func (st *state) merge(u, v int, goodness float64) {
 	cw.links = st.mergeLinks(cu.links, cv.links)
 	es := make([]iheap.LazyEntry, len(cw.links))
 	for k, e := range cw.links {
-		cx := st.cs[e.id]
-		cx.links = append(cx.links, link{int32(w), e.n})
-		es[k] = iheap.LazyEntry{Key: e.id, Pri: st.goodness(int(e.n), cx.size, cw.size)}
+		cx := st.cs[e.ID]
+		if len(cx.links) == cap(cx.links) && cx.dead > len(cx.links)-cx.dead {
+			cx.links = slices.DeleteFunc(cx.links, func(e link) bool { return st.cs[e.ID] == nil })
+			cx.dead = 0
+		}
+		cx.links = append(cx.links, link{ID: int32(w), N: e.N})
+		es[k] = iheap.LazyEntry{Key: e.ID, Pri: st.goodness(int(e.N), cx.size, cw.size)}
 		if top, ok := cx.heap.Top(); ok && (int(top.Key) == u || int(top.Key) == v) {
-			st.publish(int(e.id))
+			st.publish(int(e.ID))
 		}
 	}
 	cw.heap.Init(es)
@@ -496,26 +492,31 @@ func (st *state) merge(u, v int, goodness float64) {
 	}
 }
 
-// mergeLinks returns the union of two sorted cross-link lists, summing the
-// counts of ids present in both and dropping dead ids.
+// mergeLinks returns the union of the sorted cross-link lists of two
+// clusters that have just died, summing the counts of ids present in both
+// and dropping dead ids. Each live id's own list holds one entry per
+// parent, now dead, and its dead count grows to match.
 func (st *state) mergeLinks(a, b []link) []link {
 	out := make([]link, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
 		var e link
+		parents := 1
 		switch {
-		case j == len(b) || (i < len(a) && a[i].id < b[j].id):
+		case j == len(b) || (i < len(a) && a[i].ID < b[j].ID):
 			e = a[i]
 			i++
-		case i == len(a) || b[j].id < a[i].id:
+		case i == len(a) || b[j].ID < a[i].ID:
 			e = b[j]
 			j++
 		default:
-			e = link{a[i].id, a[i].n + b[j].n}
+			e = link{ID: a[i].ID, N: a[i].N + b[j].N}
+			parents = 2
 			i++
 			j++
 		}
-		if st.cs[e.id] != nil {
+		if cx := st.cs[e.ID]; cx != nil {
+			cx.dead += parents
 			out = append(out, e)
 		}
 	}
@@ -555,8 +556,9 @@ func (st *state) weed() {
 		st.activeCount--
 	}
 	for _, e := range touched {
-		if st.cs[e.id] != nil {
-			st.publish(int(e.id))
+		if cx := st.cs[e.ID]; cx != nil {
+			cx.dead++
+			st.publish(int(e.ID))
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestMergeLoopInvariants steps the merge loop by hand on planted graphs,
-// over both link tables, with and without weeding, and checks the heap
+// with and without weeding, and checks the heap
 // layout after newState, after every merge and after the weed: each linked
 // pair of live clusters is a candidate in the newer cluster's local heap
 // only, every live cluster's heap top is live, and its global-heap entry is
@@ -21,21 +21,23 @@ func TestMergeLoopInvariants(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		n := 20 + rng.Intn(70)
 		nb := plantedGraph(rng, n, 1+rng.Intn(4), 0.2+0.5*rng.Float64(), 0.1*rng.Float64())
-		for _, dense := range []int{0, -1} {
+		// The merge loop no longer reads a table; one built here is the
+		// independent count the heaps are checked against.
+		tablePairs := links.Compute(nb, links.DefaultDenseLimit).NonZeroPairs()
+		for _, workers := range []int{1, 3} {
 			for _, weed := range []bool{false, true} {
-				cfg := Config{K: 1 + trial%4, Theta: 0.5, DenseLimit: dense}
+				cfg := Config{K: 1 + trial%4, Theta: 0.5, Workers: workers}
 				if weed {
 					cfg.StopMultiple, cfg.MinClusterSize = 3, 3
 				}
-				name := fmt.Sprintf("trial %d n=%d dense=%d weed=%v", trial, n, dense, weed)
-				table := links.Compute(nb, dense)
-				st := newState(table, cfg)
+				name := fmt.Sprintf("trial %d n=%d workers=%d weed=%v", trial, n, workers, weed)
+				st := newState(links.ComputeLists(nb, workers), cfg)
 				heapSizes := 0
 				for _, c := range st.cs {
 					heapSizes += c.heap.Len()
 				}
-				if heapSizes != st.linkPairs || heapSizes != table.NonZeroPairs() {
-					t.Fatalf("%s: Σ heap sizes %d, LinkPairs %d, table pairs %d", name, heapSizes, st.linkPairs, table.NonZeroPairs())
+				if heapSizes != st.linkPairs || heapSizes != tablePairs {
+					t.Fatalf("%s: Σ heap sizes %d, LinkPairs %d, table pairs %d", name, heapSizes, st.linkPairs, tablePairs)
 				}
 				checkMergeState(t, name+" after newState", st)
 
@@ -107,10 +109,17 @@ func checkMergeState(t *testing.T, name string, st *state) {
 				t.Fatalf("%s: pair (%d, %d) goodness %v, want %v", name, e.Key, b, e.Pri, want)
 			}
 		}
+		dead := 0
 		for _, e := range cb.links {
-			if int(e.id) < b && st.cs[e.id] != nil && !seen[e.id] {
-				t.Fatalf("%s: linked pair (%d, %d) missing from %d's heap", name, e.id, b, b)
+			if st.cs[e.ID] == nil {
+				dead++
 			}
+			if int(e.ID) < b && st.cs[e.ID] != nil && !seen[e.ID] {
+				t.Fatalf("%s: linked pair (%d, %d) missing from %d's heap", name, e.ID, b, b)
+			}
+		}
+		if dead != cb.dead {
+			t.Fatalf("%s: cluster %d's list holds %d dead entries, counted %d", name, b, dead, cb.dead)
 		}
 
 		pri, partner, ok := st.global.Priority(b)

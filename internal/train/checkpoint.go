@@ -108,7 +108,7 @@ type Journal struct {
 
 // configSig fingerprints the fields that determine the run's output. Knobs
 // that only affect parallelism or reporting (Workers, ShardParallel,
-// DenseLimit, KeepAssignments, MaxOutlierRate, logging) are deliberately
+// KeepAssignments, MaxOutlierRate, logging) are deliberately
 // excluded: changing them must not orphan a half-finished run.
 func (c *Config) configSig() string {
 	return fmt.Sprintf("v1 k=%d theta=%v sim=%s minNbrs=%d stopMult=%v minSize=%d shards=%d budget=%d sampleBytes=%d uMin=%d frac=%v delta=%v numRep=%d labelFrac=%v minLabel=%d maxLabel=%d seed=%d",

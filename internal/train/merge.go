@@ -26,9 +26,9 @@ const mergeFan = 384
 // clusters, directly when few, hierarchically when many. Returns, for each
 // global cluster, the indices of its member summaries, ordered by total
 // member count descending (ties by first summary index).
-func mergeAll(sums []summary, simF sim.TxnFunc, theta, fTheta float64, k, denseLimit, workers, numRep int, rng *rand.Rand) [][]int {
+func mergeAll(sums []summary, simF sim.TxnFunc, theta, fTheta float64, k, workers, numRep int, rng *rand.Rand) [][]int {
 	if len(sums) <= mergeFan {
-		return mergeSummaries(sums, simF, theta, fTheta, k, denseLimit, workers)
+		return mergeSummaries(sums, simF, theta, fTheta, k, workers)
 	}
 	var supers []summary
 	var members [][]int // supers[i] covers these indices into sums
@@ -38,7 +38,7 @@ func mergeAll(sums []summary, simF sim.TxnFunc, theta, fTheta float64, k, denseL
 			end = len(sums)
 		}
 		batch := sums[start:end]
-		for _, g := range mergeSummaries(batch, simF, theta, fTheta, k, denseLimit, workers) {
+		for _, g := range mergeSummaries(batch, simF, theta, fTheta, k, workers) {
 			var pooled []dataset.Transaction
 			var orig []int
 			size := 0
@@ -56,7 +56,7 @@ func mergeAll(sums []summary, simF sim.TxnFunc, theta, fTheta float64, k, denseL
 	}
 	var merged [][]int
 	if len(supers) < len(sums) {
-		merged = mergeAll(supers, simF, theta, fTheta, k, denseLimit, workers, numRep, rng)
+		merged = mergeAll(supers, simF, theta, fTheta, k, workers, numRep, rng)
 	} else {
 		// No batch merged anything — there are no cross links at this theta
 		// (e.g. every shard cluster is a singleton). Recursing would never
@@ -117,7 +117,7 @@ func scatterReps(pts []dataset.Transaction, simF sim.TxnFunc, numRep int, rng *r
 
 // mergeSummaries agglomerates shard clusters into at most k global clusters
 // by link goodness between their representative points: the representatives
-// of all summaries are pooled, their theta-neighbor graph and link table are
+// of all summaries are pooled, their theta-neighbor graph and link lists are
 // computed exactly as in the in-core algorithm (via simjoin/links), and
 // summaries are merged greedily by rockcore's goodness measure over their
 // pooled representative sets. Two halves of one underlying cluster that
@@ -129,7 +129,7 @@ func scatterReps(pts []dataset.Transaction, simF sim.TxnFunc, numRep int, rng *r
 //
 // Returns, for each global cluster, the indices of its member summaries,
 // ordered by total member count descending.
-func mergeSummaries(sums []summary, simF sim.TxnFunc, theta, fTheta float64, k, denseLimit, workers int) [][]int {
+func mergeSummaries(sums []summary, simF sim.TxnFunc, theta, fTheta float64, k, workers int) [][]int {
 	if len(sums) == 0 {
 		return nil
 	}
@@ -145,10 +145,7 @@ func mergeSummaries(sums []summary, simF sim.TxnFunc, theta, fTheta float64, k, 
 	}
 
 	nb := simjoin.NewSource(reps, simF).ComputeNeighbors(links.Config{Theta: theta, Workers: workers})
-	if denseLimit == 0 {
-		denseLimit = links.DefaultDenseLimit
-	}
-	table := links.ComputeParallel(nb, denseLimit, workers)
+	lists := links.ComputeLists(nb, workers)
 
 	// Cross-link counts between groups of summaries (each group starts as
 	// one summary), each unordered rep pair counted once. Links between two
@@ -160,13 +157,12 @@ func mergeSummaries(sums []summary, simF sim.TxnFunc, theta, fTheta float64, k, 
 		return [2]int{a, b}
 	}
 	cross := make(map[[2]int]int)
-	for p := range reps {
-		table.ForEach(p, func(q, l int) {
-			if q <= p || owner[p] == owner[q] {
-				return
+	for p, l := range lists {
+		for _, e := range l {
+			if q := int(e.ID); q > p && owner[p] != owner[q] {
+				cross[mk(owner[p], owner[q])] += int(e.N)
 			}
-			cross[mk(owner[p], owner[q])] += l
-		})
+		}
 	}
 
 	// Greedy agglomeration over groups of summaries. The cross map is kept

@@ -48,7 +48,7 @@ func TestMergeAllHierarchical(t *testing.T) {
 	}
 	simF := sim.Jaccard
 	fTheta := 0.5 / 1.5 // f(0.5) = (1-0.5)/(1+0.5)
-	groups := mergeAll(sums, simF, 0.5, fTheta, k, 0, 1, numRep, rand.New(rand.NewSource(1)))
+	groups := mergeAll(sums, simF, 0.5, fTheta, k, 1, numRep, rand.New(rand.NewSource(1)))
 	if len(groups) != k {
 		t.Fatalf("merged into %d groups, want %d", len(groups), k)
 	}
@@ -78,8 +78,8 @@ func TestMergeAllMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sums := syntheticSummaries(4, 20, 4, rng)
 	fTheta := 0.5 / 1.5
-	direct := mergeSummaries(sums, sim.Jaccard, 0.5, fTheta, 4, 0, 1)
-	all := mergeAll(sums, sim.Jaccard, 0.5, fTheta, 4, 0, 1, 4, rand.New(rand.NewSource(1)))
+	direct := mergeSummaries(sums, sim.Jaccard, 0.5, fTheta, 4, 1)
+	all := mergeAll(sums, sim.Jaccard, 0.5, fTheta, 4, 1, 4, rand.New(rand.NewSource(1)))
 	if len(direct) != len(all) {
 		t.Fatalf("direct %d groups, mergeAll %d", len(direct), len(all))
 	}

@@ -90,8 +90,6 @@ type Config struct {
 	// clustering, and later labeling). Default 1: peak memory is then one
 	// shard's working set. Raising it trades memory for wall time.
 	ShardParallel int
-	// DenseLimit passes through to the link table selection.
-	DenseLimit int
 
 	// Shards fixes the shard count. Zero derives it from MemBudget.
 	Shards int
@@ -569,7 +567,6 @@ func TrainContext(ctx context.Context, open Opener, cfg Config) (*Result, error)
 				MinNeighbors:   cfg.MinNeighbors,
 				StopMultiple:   cfg.StopMultiple,
 				MinClusterSize: cfg.MinClusterSize,
-				DenseLimit:     cfg.DenseLimit,
 				Workers:        cfg.Workers,
 			})
 			if err != nil {
@@ -627,7 +624,7 @@ func TrainContext(ctx context.Context, open Opener, cfg Config) (*Result, error)
 			cfg.logf("merge: resumed: %d shard clusters -> %d global clusters", len(sums), len(groups))
 		} else {
 			mergeRng := rand.New(rand.NewSource(cfg.Seed - 2))
-			groups = mergeAll(sums, simF, cfg.Theta, fTheta, cfg.K, cfg.DenseLimit, cfg.Workers,
+			groups = mergeAll(sums, simF, cfg.Theta, fTheta, cfg.K, cfg.Workers,
 				cfg.numRep(), mergeRng)
 			if err := run.update(func(j *Journal) { j.MergeGroups = groups }); err != nil {
 				return err

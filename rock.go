@@ -89,8 +89,9 @@ type Config struct {
 	// Workers bounds parallelism in the O(n²) neighbor computation; zero
 	// uses all CPUs, one reproduces the paper's sequential behaviour.
 	Workers int
-	// DenseLimit caps the point count for which the dense link table is
-	// used; zero selects the default (see internal/links).
+	// DenseLimit is ignored: clustering counts links straight into
+	// per-point link lists and builds no link table. The field stays so
+	// existing configurations keep compiling.
 	DenseLimit int
 	// TraceMerges records the merge history in Result.Trace, enabling
 	// BestK and CriterionTrajectory analyses.
@@ -105,7 +106,6 @@ func (c Config) core() rockcore.Config {
 		MinNeighbors:   c.MinNeighbors,
 		StopMultiple:   c.StopMultiple,
 		MinClusterSize: c.MinClusterSize,
-		DenseLimit:     c.DenseLimit,
 		Workers:        c.Workers,
 		TraceMerges:    c.TraceMerges,
 	}
