@@ -35,9 +35,8 @@ var (
 	}
 	// MushroomROCKConfig is the Table 3 configuration: theta = 0.8, 20
 	// desired clusters (ROCK stops at 21 when links run out, as in the
-	// paper). DenseLimit once forced the dense link table; clustering no
-	// longer builds a table and ignores it, but perfbench's link probe
-	// still reads it.
+	// paper). Clustering ignores DenseLimit; perfbench's link probe reads
+	// it to pick the table it times.
 	MushroomROCKConfig = rockcore.Config{
 		K: 20, Theta: 0.8, DenseLimit: 10000,
 	}

@@ -5,11 +5,12 @@
 // neighbor graph).
 //
 // Link computation is provided in three forms: the sparse neighbor-list
-// algorithm of Figure 4 (O(Σ m_i²), the form ROCK uses), a dense
-// adjacency-matrix-squaring algorithm (the O(n³) formulation Section 4.4
-// describes before dismissing it for sparse data), and a length-3 path
-// variant used only by the ablation benchmarks (Section 3.2 discusses and
-// rejects longer paths).
+// algorithm of Figure 4 (O(Σ m_i²), the form ROCK uses; ComputeLists
+// yields it as per-point link lists, Compute and ComputeParallel as a
+// table), a dense adjacency-matrix-squaring algorithm (the O(n³)
+// formulation Section 4.4 describes before dismissing it for sparse data),
+// and a length-3 path variant used only by the ablation benchmarks
+// (Section 3.2 discusses and rejects longer paths).
 package links
 
 import (

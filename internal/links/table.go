@@ -18,7 +18,8 @@ type Table interface {
 	// dense table, unspecified order for the sparse one.
 	ForEachPair(fn func(i, j, links int))
 	// NonZeroPairs returns the number of unordered pairs with a positive
-	// link count: the table's size, which rockcore.Stats.LinkPairs reports.
+	// link count: the table's size, equal to rockcore.Stats.LinkPairs on
+	// the same graph.
 	NonZeroPairs() int
 }
 

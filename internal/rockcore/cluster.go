@@ -38,10 +38,9 @@ type Config struct {
 	// MinClusterSize is the support threshold for weeding. Zero disables
 	// weeding even when StopMultiple is set.
 	MinClusterSize int
-	// DenseLimit is ignored. It chose the link table's representation
-	// when the merge loop was fed from a table; the loop's link lists now
-	// come straight from the neighbor graph (links.ComputeLists). The
-	// field stays so existing configurations keep compiling.
+	// DenseLimit is ignored: the merge loop's link lists come straight
+	// from the neighbor graph (links.ComputeLists), with no link table.
+	// The field stays so existing configurations keep compiling.
 	DenseLimit int
 	// Workers bounds parallelism in the O(n²) neighbor computation.
 	Workers int
@@ -100,8 +99,8 @@ type Timings struct {
 	// Links is the Figure 4 link computation, which yields every point's
 	// sorted link list.
 	Links time.Duration
-	// Heap is steps 1-4 of Figure 3: the per-cluster link lists, the local
-	// heaps and the global heap.
+	// Heap is steps 1-4 of Figure 3: the local heaps and the global heap,
+	// built over the link lists.
 	Heap time.Duration
 	// Merge is the Figure 3 merge loop, weeding excluded.
 	Merge time.Duration

@@ -21,8 +21,8 @@ func TestMergeLoopInvariants(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		n := 20 + rng.Intn(70)
 		nb := plantedGraph(rng, n, 1+rng.Intn(4), 0.2+0.5*rng.Float64(), 0.1*rng.Float64())
-		// The merge loop no longer reads a table; one built here is the
-		// independent count the heaps are checked against.
+		// A table built here is the independent count the heaps are
+		// checked against.
 		tablePairs := links.Compute(nb, links.DefaultDenseLimit).NonZeroPairs()
 		for _, workers := range []int{1, 3} {
 			for _, weed := range []bool{false, true} {
