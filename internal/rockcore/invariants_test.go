@@ -10,11 +10,11 @@ import (
 )
 
 // TestMergeLoopInvariants steps the merge loop by hand on planted graphs,
-// with and without weeding, and checks the heap
-// layout after newState, after every merge and after the weed: each linked
-// pair of live clusters is a candidate in the newer cluster's local heap
-// only, every live cluster's heap top is live, and its global-heap entry is
-// that top's goodness and id.
+// with and without weeding, and checks the heap layout after newState,
+// after every merge and after the weed: each linked pair of live clusters
+// is a candidate in the newer cluster's local heap only, every live
+// cluster's heap top is live, and its global-heap entry is that top's
+// goodness and id.
 func TestMergeLoopInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	var merges, weeds int
