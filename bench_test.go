@@ -385,7 +385,7 @@ func BenchmarkMergeLoopBasket(b *testing.B) {
 	pc := pcfg.Cluster
 	cfg := rockcore.Config{
 		K: pc.K, Theta: pc.Theta, MinNeighbors: pc.MinNeighbors,
-		StopMultiple: pc.StopMultiple, MinClusterSize: pc.MinClusterSize, DenseLimit: pc.DenseLimit,
+		StopMultiple: pc.StopMultiple, MinClusterSize: pc.MinClusterSize,
 	}
 	nb := simjoin.NewSource(txns, sim.Jaccard).ComputeNeighbors(links.Config{Theta: cfg.Theta})
 	b.ResetTimer()

@@ -11,22 +11,25 @@ import (
 type Link struct{ ID, N int32 }
 
 // fwdChunk is the size, in entries, of the blocks a ComputeLists worker
-// carves its rows' forward halves from.
-const fwdChunk = 1 << 16
+// copies its rows' forward halves into. It is a variable so that tests can
+// run graphs whose point count exceeds it.
+var fwdChunk = 1 << 16
 
 // ComputeLists returns, for every point i, the partners j with
 // link(i, j) > 0 and their counts, sorted by j: the non-zero entries of
 // the link table's row i, without the table. This is the form the Figure 3
 // merge loop consumes, so the product never holds the n(n+1)/2 triangle
-// Section 4.5 names as the worst-case space.
+// Section 4.5 names as the worst-case space: it holds one n-entry counter
+// per worker and O(n + link pairs) entries.
 //
 // Worker g owns the rows i ≡ g (mod workers) and counts each one into its
-// own n-entry counter with countRow, the kernel the dense table uses. It
-// then scans the counter over the span countRow touched, emitting each
-// non-zero j in order, and zeroes the span for the worker's next row. A
-// sequential transpose then gives every pair i < j its second entry, in
-// j's list; taking rows in ascending i order writes each list's older half
-// already sorted, ahead of its forward half. workers <= 0 means GOMAXPROCS.
+// own counter with countRow, the kernel the dense table uses. It then
+// scans the counter over (i, n), moving each non-zero j, in order, into a
+// scratch row and zeroing it for the worker's next row, and copies the
+// scratch row into a shared block. A sequential transpose then gives every
+// pair i < j its second entry, in j's list; taking rows in ascending i
+// order writes each list's older half already sorted, ahead of its forward
+// half. workers <= 0 means GOMAXPROCS.
 func ComputeLists(nb *Neighbors, workers int) [][]Link {
 	n := nb.N()
 	if workers <= 0 {
@@ -42,24 +45,24 @@ func ComputeLists(nb *Neighbors, workers int) [][]Link {
 		go func(g int) {
 			defer wg.Done()
 			cnt := make([]uint32, n)
-			var block []Link
+			var scratch, block []Link
 			for i := g; i < n; i += workers {
-				// The row's partners lie in [lo, hi); reserve that much
-				// so the row is emitted in place.
-				lo, hi := countRow(nb, i, cnt)
-				if lo == hi {
-					continue
-				}
-				if cap(block)-len(block) < hi-lo {
-					block = make([]Link, 0, max(fwdChunk, hi-lo))
-				}
-				start := len(block)
-				for j, c := range cnt[lo:hi] {
-					if c != 0 {
-						block = append(block, Link{int32(lo + j), int32(c)})
+				countRow(nb, i, cnt)
+				scratch = scratch[:0]
+				for j := i + 1; j < n; j++ {
+					if c := cnt[j]; c != 0 {
+						scratch = append(scratch, Link{int32(j), int32(c)})
+						cnt[j] = 0
 					}
 				}
-				clear(cnt[lo:hi])
+				if len(scratch) == 0 {
+					continue
+				}
+				if cap(block)-len(block) < len(scratch) {
+					block = make([]Link, 0, max(fwdChunk, len(scratch)))
+				}
+				start := len(block)
+				block = append(block, scratch...)
 				fwd[i] = block[start:len(block):len(block)]
 			}
 		}(g)

@@ -66,35 +66,27 @@ func countRows(nb *Neighbors, t *DenseTable, first, stride int) {
 }
 
 // countRow is the one Figure 4 counting loop, reorganized by output row:
-// it adds link(i, j) to row[j] for every j > i, and returns the bounds
-// [lo, hi) that every incremented j lies in (lo == hi when none is).
-// link(i, j) counts the points x with i, j ∈ N(x). Neighbor lists are
-// symmetric (x ∈ N(i) ⇔ i ∈ N(x)), so that is the number of x ∈ N(i) with
-// j ∈ N(x); and since N(x) is sorted, its entries j > i form a suffix found
-// by binary search. Over all rows every (x, i < j) triple of Figure 4 is
-// visited exactly once, just grouped by i instead of by x.
-func countRow(nb *Neighbors, i int, row []uint32) (lo, hi int) {
-	lo = len(row)
+// it adds link(i, j) to row[j] for every j > i. link(i, j) counts the
+// points x with i, j ∈ N(x). Neighbor lists are symmetric (x ∈ N(i) ⇔
+// i ∈ N(x)), so that is the number of x ∈ N(i) with j ∈ N(x); and since
+// N(x) is sorted, its entries j > i form a suffix found by binary search.
+// Over all rows every (x, i < j) triple of Figure 4 is visited exactly
+// once, just grouped by i instead of by x.
+func countRow(nb *Neighbors, i int, row []uint32) {
 	for _, x := range nb.Lists[i] {
 		l := nb.Lists[x]
 		// First position in N(x) holding a point > i.
-		a, b := 0, len(l)
-		for a < b {
-			mid := int(uint(a+b) >> 1)
+		lo, hi := 0, len(l)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
 			if int(l[mid]) <= i {
-				a = mid + 1
+				lo = mid + 1
 			} else {
-				b = mid
+				hi = mid
 			}
 		}
-		if a == len(l) {
-			continue
-		}
-		lo = min(lo, int(l[a]))
-		hi = max(hi, int(l[len(l)-1])+1)
-		for _, j := range l[a:] {
+		for _, j := range l[lo:] {
 			row[j]++
 		}
 	}
-	return min(lo, hi), hi
 }

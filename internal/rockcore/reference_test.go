@@ -209,8 +209,9 @@ func plantedGraph(rng *rand.Rand, n, groups int, pIn, pOut float64) *links.Neigh
 }
 
 // TestMergeLoopMatchesReference pins the heap-driven merge loop to the naive
-// pairwise-scan Figure 3 on random graphs, over both link tables and every
-// option that changes which merges happen or what is recorded.
+// pairwise-scan Figure 3 on random graphs, over one and several link-list
+// workers and every option that changes which merges happen or what is
+// recorded.
 func TestMergeLoopMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var pruned, weeded, stopped, merged int
@@ -222,9 +223,7 @@ func TestMergeLoopMatchesReference(t *testing.T) {
 			Theta:       0.1 + 0.8*rng.Float64(),
 			TraceMerges: rng.Intn(4) != 0,
 		}
-		if rng.Intn(2) == 0 {
-			cfg.DenseLimit = -1
-		}
+		cfg.Workers = 1 + 2*rng.Intn(2)
 		if rng.Intn(3) == 0 {
 			cfg.MinNeighbors = 1 + rng.Intn(3)
 		}
@@ -270,17 +269,19 @@ func TestMergeLoopMatchesReference(t *testing.T) {
 }
 
 // TestLinkPairsMatchesTable: Stats.LinkPairs, counted from the link lists
-// the merge loop builds, equals the table's own count on both tables.
+// the merge loop builds, equals the link table's own count at every
+// worker count.
 func TestLinkPairsMatchesTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	nb := plantedGraph(rng, 80, 3, 0.4, 0.05)
-	for _, dense := range []int{0, -1} {
-		res, err := ClusterNeighbors(nb, Config{K: 3, Theta: 0.5, DenseLimit: dense})
+	want := links.Compute(nb, -1).NonZeroPairs()
+	for _, workers := range []int{1, 2, 7} {
+		res, err := ClusterNeighbors(nb, Config{K: 3, Theta: 0.5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := links.Compute(nb, dense).NonZeroPairs(); res.Stats.LinkPairs != want || want == 0 {
-			t.Fatalf("DenseLimit %d: LinkPairs = %d, table has %d", dense, res.Stats.LinkPairs, want)
+		if res.Stats.LinkPairs != want || want == 0 {
+			t.Fatalf("workers %d: LinkPairs = %d, table has %d", workers, res.Stats.LinkPairs, want)
 		}
 	}
 }
