@@ -40,7 +40,7 @@ vet:
 faults:
 	$(GO) test -race ./internal/store -run 'Fault|Atomic|Crash|Durab|Short'
 	$(GO) test -race ./internal/model -run 'Crash|CRC|Corrupt|Legacy|Future|Dir|Rollback|Retention'
-	$(GO) test -race ./internal/serve -run 'Swap|Reload|Context|Close|Idle|Captured'
+	$(GO) test -race ./internal/serve -run 'HotSwap|Cancellation|Close|NilAssigner|CacheBatch'
 	$(GO) test -race ./internal/daemon -run 'Chaos|Readyz|Rollback|Shed|Panic|Reload'
 
 # Fleet-level chaos: a single replica's crash/reload drills, then the

@@ -33,7 +33,7 @@
 //	GET  /healthz     liveness probe (process up)
 //	GET  /readyz      readiness probe (model loaded, not draining) + serving seq
 //	                  (+ per-model serving seqs in registry mode)
-//	GET  /metrics     Prometheus text exposition; ?format=json for the JSON shape
+//	GET  /metrics     Prometheus text exposition
 //	GET  /v1/model    summary of the currently served model
 //	GET  /v1/models   every registered model's serving state and counters
 //
@@ -98,11 +98,11 @@ func main() {
 	cfg := daemon.Config{
 		MaxInflight:     *maxInflight,
 		ReqTimeout:      *reqTimeout,
+		CacheCap:        *cacheCap,
 		InjectLatency:   *injectLat,
 		InjectTail:      *injectTail,
 		InjectTailEvery: *injectEvery,
 	}
-	var engine *serve.Engine
 	switch {
 	case *registryRoot != "":
 		reg, err := registry.Open(registry.Config{
@@ -117,24 +117,9 @@ func main() {
 		}
 		cfg.Registry = reg
 		cfg.DefaultModel = *defaultModel
-		engine = serve.NewIdle(*workers)
 		logger.Printf("registry mode: root %s, %d registered models %v, default %q, budget max-models=%d max-model-bytes=%d",
 			*registryRoot, len(reg.Names()), reg.Names(), *defaultModel, *maxModels, *maxModelBytes)
-	case *modelPath != "":
-		snap, err := model.Load(*modelPath)
-		if err != nil {
-			logger.Fatalf("loading model: %v", err)
-		}
-		assigner, err := model.Compile(snap)
-		if err != nil {
-			logger.Fatalf("compiling model: %v", err)
-		}
-		if engine, err = serve.New(assigner, *workers); err != nil {
-			logger.Fatalf("starting engine: %v", err)
-		}
-		logger.Printf("serving %s: %d clusters, %d labeled sets, %d labeled transactions, theta=%.3f sim=%s",
-			*modelPath, assigner.Clusters(), len(snap.Sets), len(snap.Txns), assigner.Theta(), assigner.SimName())
-	default:
+	case *dirPath != "":
 		if err := os.MkdirAll(*dirPath, 0o755); err != nil {
 			logger.Fatalf("creating snapshot directory: %v", err)
 		}
@@ -143,41 +128,24 @@ func main() {
 			logger.Fatalf("opening snapshot directory: %v", err)
 		}
 		cfg.Dir = dir
-		snap, entry, skipped, err := dir.LoadLatest()
-		for _, e := range skipped {
-			logger.Printf("rollback: snapshot %s (seq %d) failed to load, falling back", e.Path, e.Seq)
-		}
+	}
+	if *cacheCap > 0 {
+		logger.Printf("answer cache enabled: %d entries per served model", *cacheCap)
+	}
+	engine := serve.New(*workers)
+	handler := daemon.New(engine, logger, cfg)
+	if cfg.Registry == nil {
+		// The startup load is the reload path: -model serves that file, -dir
+		// its newest good generation. Only a directory with nothing loadable
+		// in it starts idle; every other load or compile failure is fatal.
+		_, err := handler.Reload(*modelPath)
 		switch {
 		case errors.Is(err, model.ErrNoSnapshots):
-			engine = serve.NewIdle(*workers)
 			logger.Printf("no loadable snapshot in %s yet; starting idle (not ready until first reload)", *dirPath)
 		case err != nil:
-			logger.Fatalf("scanning snapshot directory: %v", err)
-		default:
-			assigner, err := model.Compile(snap)
-			if err != nil {
-				logger.Fatalf("compiling snapshot %s: %v", entry.Path, err)
-			}
-			if engine, err = serve.New(assigner, *workers); err != nil {
-				logger.Fatalf("starting engine: %v", err)
-			}
-			cfg.InitialSeq = entry.Seq
-			logger.Printf("serving %s (seq %d): %d clusters, %d labeled transactions, theta=%.3f sim=%s",
-				entry.Path, entry.Seq, assigner.Clusters(), len(snap.Txns), assigner.Theta(), assigner.SimName())
+			logger.Fatalf("loading model: %v", err)
 		}
 	}
-
-	if *cacheCap > 0 {
-		if cfg.Registry != nil {
-			// Registry mode builds one cache per loaded model; the engine's
-			// own single-model cache slot stays unused.
-			logger.Printf("answer caches enabled: %d entries per model", *cacheCap)
-		} else {
-			engine.EnableCache(*cacheCap)
-			logger.Printf("answer cache enabled: %d entries", *cacheCap)
-		}
-	}
-	handler := daemon.New(engine, logger, cfg)
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           handler,
@@ -211,6 +179,6 @@ func main() {
 	}
 	engine.Close()
 	m := engine.Metrics()
-	logger.Printf("served %d requests (%d assignments, %d outliers, %d reloads); bye",
-		m.Requests, m.Assignments, m.Outliers, m.Reloads)
+	logger.Printf("served %d requests (%d assignments, %d outliers); bye",
+		m.Requests, m.Assignments, m.Outliers)
 }

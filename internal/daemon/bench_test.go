@@ -73,19 +73,8 @@ func benchProbes(n, batch int) [][]dataset.Transaction {
 
 func benchHandler(b *testing.B, cache int) *daemon.Server {
 	b.Helper()
-	a, err := model.Compile(benchSnapshot())
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine, err := serve.New(a, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if cache > 0 {
-		engine.EnableCache(cache)
-	}
-	b.Cleanup(engine.Close)
-	return daemon.New(engine, log.New(io.Discard, "", 0), daemon.Config{})
+	h, _ := startServing(b, benchSnapshot(), 1, daemon.Config{CacheCap: cache})
+	return h
 }
 
 const benchBatch = 64
@@ -153,12 +142,7 @@ func BenchmarkHandleAssignJSONScan(b *testing.B) {
 	if a.Compiled() {
 		b.Fatal("index unexpectedly built; scan baseline invalid")
 	}
-	engine, err := serve.New(a, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(engine.Close)
-	h := daemon.New(engine, log.New(io.Discard, "", 0), daemon.Config{})
+	h, _ := startServing(b, s, 1, daemon.Config{})
 	bodies := jsonBodies(b, benchProbes(64, benchBatch))
 	runAssignBench(b, h, bodies, "application/json")
 }
@@ -205,7 +189,7 @@ func benchRegistryHandler(b *testing.B, cacheCap int) *daemon.Server {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := serve.NewIdle(1)
+	engine := serve.New(1)
 	b.Cleanup(engine.Close)
 	return daemon.New(engine, log.New(io.Discard, "", 0), daemon.Config{Registry: reg, DefaultModel: "bench"})
 }

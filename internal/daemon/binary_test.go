@@ -41,7 +41,7 @@ func postBinary(t *testing.T, url string, txns []dataset.Transaction) (int, []by
 // bit-identical assignments.
 func TestBinaryAssignMatchesJSON(t *testing.T) {
 	_, path := trainSnapshot(t, t.TempDir(), 6, 1)
-	srv, _ := startDaemon(t, path)
+	srv := startDaemon(t, path)
 
 	fresh := datagen.Basket(datagen.ScaledBasketConfig(100), rand.New(rand.NewSource(41)))
 	probes := fresh.Txns[:200]
@@ -89,7 +89,7 @@ func TestBinaryAssignMatchesJSON(t *testing.T) {
 // exactly like their canonical form.
 func TestBinaryAssignNormalizes(t *testing.T) {
 	_, path := trainSnapshot(t, t.TempDir(), 6, 1)
-	srv, _ := startDaemon(t, path)
+	srv := startDaemon(t, path)
 
 	fresh := datagen.Basket(datagen.ScaledBasketConfig(100), rand.New(rand.NewSource(42)))
 	canon := fresh.Txns[:50]
@@ -119,7 +119,7 @@ func TestBinaryAssignNormalizes(t *testing.T) {
 // JSON error payload, never a panic or a binary response.
 func TestBinaryAssignRejectsCorrupt(t *testing.T) {
 	_, path := trainSnapshot(t, t.TempDir(), 6, 1)
-	srv, _ := startDaemon(t, path)
+	srv := startDaemon(t, path)
 
 	good := wire.AppendRequest(nil, []dataset.Transaction{{1, 2, 3}})
 	cases := map[string][]byte{
@@ -165,16 +165,10 @@ func TestChaosBinaryCacheReloadUnderLoad(t *testing.T) {
 	if err := model.Save(pathB, schemaSnapshot(10)); err != nil {
 		t.Fatal(err)
 	}
-	a, err := model.Compile(schemaSnapshot(0))
-	if err != nil {
+	h, srv := startConfigured(t, 0, daemon.Config{CacheCap: 4096})
+	if _, err := h.Reload(pathA); err != nil {
 		t.Fatal(err)
 	}
-	engine, err := serve.New(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.EnableCache(4096)
-	_, srv := startConfigured(t, engine, daemon.Config{})
 
 	done := make(chan struct{})
 	fail := make(chan string, 16)
@@ -275,13 +269,13 @@ func TestChaosBinaryCacheReloadUnderLoad(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	m := engine.Metrics()
-	if m.Reloads == 0 {
+	m := scrape(t, srv.URL)
+	if m["rockd_reloads_total"] == 0 {
 		t.Fatal("no reloads happened during the traffic window")
 	}
-	if m.CacheHits == 0 {
+	if m["rockd_cache_hits_total"] == 0 {
 		t.Fatal("cache took no hits under a repeating workload")
 	}
-	t.Logf("chaos run: %d reloads, %d cache hits, %d misses, %d entries",
-		m.Reloads, m.CacheHits, m.CacheMisses, m.CacheEntries)
+	t.Logf("chaos run: %.0f reloads, %.0f cache hits, %.0f misses, %.0f entries",
+		m["rockd_reloads_total"], m["rockd_cache_hits_total"], m["rockd_cache_misses_total"], m["rockd_cache_entries"])
 }

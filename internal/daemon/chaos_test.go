@@ -3,6 +3,7 @@ package daemon_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -17,6 +18,7 @@ import (
 	"rock/internal/daemon"
 	"rock/internal/dataset"
 	"rock/internal/model"
+	"rock/internal/promtext"
 	"rock/internal/serve"
 	"rock/internal/store"
 )
@@ -48,17 +50,33 @@ func schemaSnapshot(shift int) *model.Snapshot {
 	}
 }
 
-// startConfigured starts a daemon over an explicit engine and config,
-// returning the handler too so tests can reach its internals (semaphore,
-// drain flag, mux).
-func startConfigured(t *testing.T, engine *serve.Engine, cfg daemon.Config) (*daemon.Server, *httptest.Server) {
+// startConfigured starts a daemon with no model loaded over a fresh worker
+// pool of the given size, returning the handler too so tests can load a
+// model and reach its internals (semaphore, drain flag, mux).
+func startConfigured(t testing.TB, workers int, cfg daemon.Config) (*daemon.Server, *httptest.Server) {
 	t.Helper()
+	engine := serve.New(workers)
 	h := daemon.New(engine, log.New(io.Discard, "", 0), cfg)
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() {
 		srv.Close()
 		engine.Close()
 	})
+	return h, srv
+}
+
+// startServing starts a daemon like startConfigured and serves snap from a
+// snapshot file, loaded through the same Reload rockd's startup uses.
+func startServing(t testing.TB, snap *model.Snapshot, workers int, cfg daemon.Config) (*daemon.Server, *httptest.Server) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "model.rockm")
+	if err := model.Save(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	h, srv := startConfigured(t, workers, cfg)
+	if _, err := h.Reload(path); err != nil {
+		t.Fatal(err)
+	}
 	return h, srv
 }
 
@@ -80,7 +98,10 @@ func TestReadyzLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, srv := startConfigured(t, serve.NewIdle(1), daemon.Config{Dir: dir})
+	h, srv := startConfigured(t, 1, daemon.Config{Dir: dir})
+	if _, err := h.Reload(""); !errors.Is(err, model.ErrNoSnapshots) {
+		t.Fatalf("startup load from an empty directory: %v, want ErrNoSnapshots", err)
+	}
 
 	if got := getStatus(t, srv.URL+"/readyz"); got != http.StatusServiceUnavailable {
 		t.Fatalf("readyz before any model: %d, want 503", got)
@@ -132,19 +153,10 @@ func TestReloadRollbackFromDir(t *testing.T) {
 	if _, err := dir.Save(schemaSnapshot(0)); err != nil {
 		t.Fatal(err)
 	}
-	snap, _, _, err := dir.LoadLatest()
-	if err != nil {
+	h, srv := startConfigured(t, 1, daemon.Config{Dir: dir})
+	if _, err := h.Reload(""); err != nil {
 		t.Fatal(err)
 	}
-	a, err := model.Compile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := serve.New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, srv := startConfigured(t, engine, daemon.Config{Dir: dir})
 
 	// A newer generation arrives torn: written without the atomic-save
 	// path, e.g. a partial copy.
@@ -186,15 +198,7 @@ func TestReloadRollbackFromDir(t *testing.T) {
 // must be shed immediately with 429 + Retry-After, and admitted again once
 // a slot frees.
 func TestSheddingWith429(t *testing.T) {
-	a, err := model.Compile(schemaSnapshot(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := serve.New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, srv := startConfigured(t, engine, daemon.Config{MaxInflight: 1})
+	h, srv := startServing(t, schemaSnapshot(0), 1, daemon.Config{MaxInflight: 1})
 
 	// Occupy the only slot, as a stuck in-flight request would.
 	h.Sem() <- struct{}{}
@@ -216,25 +220,15 @@ func TestSheddingWith429(t *testing.T) {
 	if status, _ := postJSON(t, srv.URL+"/v1/assign", daemon.AssignRequest{Transactions: [][]int64{{1}}}); status != http.StatusOK {
 		t.Fatalf("assign after slot freed: %d", status)
 	}
-	var m daemon.Metrics
-	mustGetJSON(t, srv.URL+"/metrics?format=json", &m)
-	if m.Shed != 1 {
-		t.Fatalf("shed counter = %d, want 1", m.Shed)
+	if got := scrape(t, srv.URL)["rockd_shed_total"]; got != 1 {
+		t.Fatalf("shed counter = %v, want 1", got)
 	}
 }
 
 // TestPanicRecoveryKeepsServing: a handler panic must become a 500 — and
 // the daemon must keep answering afterwards.
 func TestPanicRecoveryKeepsServing(t *testing.T) {
-	a, err := model.Compile(schemaSnapshot(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := serve.New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, srv := startConfigured(t, engine, daemon.Config{})
+	h, srv := startServing(t, schemaSnapshot(0), 1, daemon.Config{})
 	h.Mux().HandleFunc("GET /boom", func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	})
@@ -245,10 +239,8 @@ func TestPanicRecoveryKeepsServing(t *testing.T) {
 	if status, _ := postJSON(t, srv.URL+"/v1/assign", daemon.AssignRequest{Transactions: [][]int64{{1}}}); status != http.StatusOK {
 		t.Fatalf("assign after panic: %d", status)
 	}
-	var m daemon.Metrics
-	mustGetJSON(t, srv.URL+"/metrics?format=json", &m)
-	if m.Panics != 1 {
-		t.Fatalf("panic counter = %d, want 1", m.Panics)
+	if got := scrape(t, srv.URL)["rockd_panics_total"]; got != 1 {
+		t.Fatalf("panic counter = %v, want 1", got)
 	}
 }
 
@@ -267,15 +259,10 @@ func TestRecordsConsistentDuringReloads(t *testing.T) {
 	if err := model.Save(pathB, schemaSnapshot(10)); err != nil {
 		t.Fatal(err)
 	}
-	a, err := model.Compile(schemaSnapshot(0))
-	if err != nil {
+	h, srv := startConfigured(t, 0, daemon.Config{})
+	if _, err := h.Reload(pathA); err != nil {
 		t.Fatal(err)
 	}
-	engine, err := serve.New(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, srv := startConfigured(t, engine, daemon.Config{})
 
 	done := make(chan struct{})
 	fail := make(chan string, 16)
@@ -347,7 +334,7 @@ func TestRecordsConsistentDuringReloads(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if engine.Metrics().Reloads == 0 {
+	if scrape(t, srv.URL)["rockd_reloads_total"] == 0 {
 		t.Fatal("no reloads happened during the traffic window")
 	}
 }
@@ -368,19 +355,10 @@ func TestChaosReloadCorruptShedUnderLoad(t *testing.T) {
 	if _, err := dir.Save(schemaSnapshot(0)); err != nil {
 		t.Fatal(err)
 	}
-	snap, _, _, err := dir.LoadLatest()
-	if err != nil {
+	h, srv := startConfigured(t, 2, daemon.Config{MaxInflight: 1, Dir: dir})
+	if _, err := h.Reload(""); err != nil {
 		t.Fatal(err)
 	}
-	a, err := model.Compile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := serve.New(a, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, srv := startConfigured(t, engine, daemon.Config{MaxInflight: 1, Dir: dir})
 
 	done := make(chan struct{})
 	fail := make(chan string, 16)
@@ -493,16 +471,15 @@ func TestChaosReloadCorruptShedUnderLoad(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	var m daemon.Metrics
-	mustGetJSON(t, srv.URL+"/metrics?format=json", &m)
-	if m.Reloads == 0 {
+	m := scrape(t, srv.URL)
+	if m["rockd_reloads_total"] == 0 {
 		t.Fatal("chaos loop never reloaded")
 	}
-	if m.Shed == 0 {
+	if m["rockd_shed_total"] == 0 {
 		t.Fatal("1-slot gate under 8 clients shed nothing — admission control inert")
 	}
-	t.Logf("chaos run: %d requests, %d reloads, %d shed (client saw %d, retried %d)",
-		m.Requests, m.Reloads, m.Shed, shed.load(), retried.load())
+	t.Logf("chaos run: %.0f requests, %.0f reloads, %.0f shed (client saw %d, retried %d)",
+		m["rockd_requests_total"], m["rockd_reloads_total"], m["rockd_shed_total"], shed.load(), retried.load())
 }
 
 // sync2Counter is a tiny atomic counter for test tallies.
@@ -514,14 +491,19 @@ type sync2Counter struct {
 func (c *sync2Counter) add(d uint64) { c.mu.Lock(); c.n += d; c.mu.Unlock() }
 func (c *sync2Counter) load() uint64 { c.mu.Lock(); defer c.mu.Unlock(); return c.n }
 
-func mustGetJSON(t *testing.T, url string, v any) {
+// scrape reads url's /metrics exposition into one value per series.
+func scrape(t *testing.T, url string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+	samples, err := promtext.Parse(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
+	out := map[string]float64{}
+	promtext.Sum(out, samples)
+	return out
 }

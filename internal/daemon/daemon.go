@@ -1,9 +1,9 @@
 // Package daemon is the rockd replica: the HTTP serving layer that fronts a
-// serve.Engine with bounded admission, per-request deadlines, panic
-// isolation, readiness/liveness probes, hot reloads from versioned snapshot
-// directories, and Prometheus metrics. cmd/rockd wires it to a listener and
-// signals; the gateway's tests (internal/gate) run whole fleets of these
-// in-process.
+// serve.Engine worker pool with bounded admission, per-request deadlines,
+// panic isolation, readiness/liveness probes, hot reloads from versioned
+// snapshot directories, and Prometheus metrics. cmd/rockd wires it to a
+// listener and signals; the gateway's tests (internal/gate) run whole
+// fleets of these in-process.
 //
 // Every assignment response carries the X-Rock-Model-Seq header naming the
 // snapshot generation that served it, and /readyz reports the same seq, so
@@ -123,25 +123,6 @@ type Readiness struct {
 	Models map[string]uint64 `json:"models,omitempty"`
 }
 
-// Metrics is the GET /metrics?format=json payload: the engine's counters
-// plus the daemon-level resilience counters. The default /metrics encoding
-// is Prometheus text exposition (see writePrometheus).
-type Metrics struct {
-	serve.Metrics
-	// Shed counts assign requests rejected with 429 because the admission
-	// semaphore was full.
-	Shed uint64 `json:"shed"`
-	// Panics counts handler panics converted to 500s by the recovery
-	// middleware.
-	Panics uint64 `json:"panics"`
-	// Seq is the serving snapshot generation (the default model's, in
-	// registry mode).
-	Seq uint64 `json:"seq"`
-	// Models, in registry mode, is each registered model's serving state
-	// and per-tenant counters.
-	Models []registry.Info `json:"models,omitempty"`
-}
-
 // maxBodyBytes bounds request bodies; a labeling request has no business
 // being larger.
 const maxBodyBytes = 32 << 20
@@ -161,15 +142,16 @@ type Config struct {
 	// Registry, when non-nil, puts the daemon in multi-tenant mode: it
 	// serves every model under the registry root via /v1/assign/{model} and
 	// /v1/reload/{model}, and the legacy single-model routes alias to
-	// DefaultModel. Dir and InitialSeq are ignored in this mode.
+	// DefaultModel. Dir and CacheCap are ignored in this mode (each tenant's
+	// cache is sized by the registry's own config).
 	Registry *registry.Registry
 	// DefaultModel is the model name the legacy routes (/v1/assign,
 	// /v1/reload, /v1/model) act on in registry mode ("default" when
 	// empty).
 	DefaultModel string
-	// InitialSeq is the generation of the model the engine was constructed
-	// with (0 for file-loaded models or idle engines).
-	InitialSeq uint64
+	// CacheCap is the answer-cache capacity in entries (<= 0 disables it).
+	// Every reload binds a fresh, empty cache to the new model.
+	CacheCap int
 	// InjectLatency, when positive, adds that much service time to every
 	// assign request while it holds its admission slot. It exists to test
 	// and benchmark routing tiers: it turns a replica into a realistic
@@ -197,13 +179,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// version pairs the served assigner with its snapshot generation, so one
-// atomic load gives a request both consistently during reloads.
-type version struct {
-	a   *model.Assigner
-	seq uint64
-}
-
 // Server routes rockd's HTTP API onto a serve.Engine. It is an
 // http.Handler, so tests drive it through httptest without a socket.
 type Server struct {
@@ -222,12 +197,18 @@ type Server struct {
 	// admitted counts admitted assign requests; the tail injector keys off
 	// it to slow every Nth one.
 	admitted atomic.Uint64
-	// cur is the served model + generation; stores happen only under
-	// reloadMu, loads are lock-free on the request path.
-	cur atomic.Pointer[version]
+	// cur is the served generation (assigner, answer cache, seq) in
+	// single-model mode, nil until the first successful load. Stores happen
+	// only under reloadMu; loads are lock-free on the request path, and one
+	// load gives a request all three consistently during reloads.
+	cur atomic.Pointer[registry.Loaded]
 	// reloadMu serializes snapshot loads (not swaps — swaps are lock-free
 	// and assignment traffic never takes this lock).
 	reloadMu sync.Mutex
+	// reloads counts successful POST /v1/reload swaps and cacheEvicts the
+	// CLOCK evictions of every cache the slot has held (single-model mode).
+	reloads     atomic.Uint64
+	cacheEvicts atomic.Uint64
 	// scratch pools per-request buffers for the binary assign path: body,
 	// decoded transactions/items, assignments and the encoded response all
 	// reuse their previous capacity, so a warmed-up binary request performs
@@ -244,9 +225,9 @@ type assignScratch struct {
 	resp  []byte
 }
 
-// New wraps engine in the rockd HTTP API. The engine may be idle (no model
-// loaded); the server then answers 503 on /v1/assign and fails /readyz
-// until the first successful reload.
+// New wraps engine in the rockd HTTP API. The server starts with no model
+// loaded in single-model mode: it answers 503 on /v1/assign and fails
+// /readyz until the first successful Reload.
 func New(engine *serve.Engine, logger *log.Logger, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -257,7 +238,6 @@ func New(engine *serve.Engine, logger *log.Logger, cfg Config) *Server {
 		sem:    make(chan struct{}, cfg.MaxInflight),
 	}
 	s.scratch.New = func() any { return &assignScratch{body: make([]byte, 0, 4<<10)} }
-	s.cur.Store(&version{a: engine.Model(), seq: cfg.InitialSeq})
 	s.mux.HandleFunc("POST /v1/assign", s.handleAssign)
 	s.mux.HandleFunc("POST /v1/reload", s.handleReload)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -313,13 +293,11 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 	s.writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// assignTarget is the (assigner, cache, generation) one request serves
-// from. In single-model mode it mirrors the daemon's atomic version slot;
-// in registry mode it wraps a pinned lease on the request's named model.
+// assignTarget is the generation one request serves from: the daemon's
+// served slot in single-model mode, or a pinned lease on the request's
+// named model in registry mode.
 type assignTarget struct {
-	a     *model.Assigner
-	cache *serve.Cache
-	seq   uint64
+	*registry.Loaded
 	lease *registry.Lease
 }
 
@@ -344,16 +322,6 @@ func (t *assignTarget) count(out []serve.Assignment) {
 	t.lease.Count(len(out), outliers)
 }
 
-// assignInto labels txns into out under the target's generation, through
-// the target's own cache in registry mode and the engine's bound cache
-// otherwise.
-func (t *assignTarget) assignInto(ctx context.Context, e *serve.Engine, txns []dataset.Transaction, out []serve.Assignment) error {
-	if t.lease != nil {
-		return e.AssignAllCachedInto(ctx, t.a, t.cache, txns, out)
-	}
-	return e.AssignAllContextInto(ctx, t.a, txns, out)
-}
-
 // registryStatus maps a registry error onto the HTTP status the legacy
 // single-model routes use for the same condition.
 func registryStatus(err error) int {
@@ -372,12 +340,12 @@ func registryStatus(err error) int {
 // be called once serving ends (it unpins the registry lease).
 func (s *Server) target(r *http.Request) (assignTarget, int, error) {
 	if s.cfg.Registry == nil {
-		v := s.cur.Load()
-		if v.a == nil {
+		l := s.cur.Load()
+		if l == nil {
 			return assignTarget{}, http.StatusServiceUnavailable,
 				errors.New("no model loaded yet; POST /v1/reload first")
 		}
-		return assignTarget{a: v.a, seq: v.seq}, 0, nil
+		return assignTarget{Loaded: l}, 0, nil
 	}
 	name := r.PathValue("model")
 	if name == "" {
@@ -387,7 +355,7 @@ func (s *Server) target(r *http.Request) (assignTarget, int, error) {
 	if err != nil {
 		return assignTarget{}, registryStatus(err), fmt.Errorf("model %q: %w", name, err)
 	}
-	return assignTarget{a: lease.Assigner, cache: lease.Cache, seq: lease.Seq, lease: lease}, 0, nil
+	return assignTarget{Loaded: &lease.Loaded, lease: lease}, 0, nil
 }
 
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
@@ -446,7 +414,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	} else {
 		txns = make([]dataset.Transaction, len(req.Records))
 		for i, rec := range req.Records {
-			t, err := tgt.a.EncodeRecord(rec)
+			t, err := tgt.Assigner.EncodeRecord(rec)
 			if err != nil {
 				s.writeError(w, http.StatusBadRequest, "record %d: %v", i, err)
 				return
@@ -456,7 +424,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	}
 	s.injectServiceTime()
 	out := make([]serve.Assignment, len(txns))
-	if err := tgt.assignInto(r.Context(), s.engine, txns, out); err != nil {
+	if err := s.engine.AssignInto(r.Context(), tgt.Assigner, tgt.Cache, txns, out); err != nil {
 		// The client went away or the per-request deadline fired; either
 		// way the batch was not fully served.
 		status := http.StatusServiceUnavailable
@@ -467,7 +435,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tgt.count(out)
-	w.Header().Set(ModelSeqHeader, strconv.FormatUint(tgt.seq, 10))
+	w.Header().Set(ModelSeqHeader, strconv.FormatUint(tgt.Seq, 10))
 	s.writeJSON(w, http.StatusOK, AssignResponse{Assignments: out})
 }
 
@@ -499,7 +467,7 @@ func (s *Server) handleAssignBinary(w http.ResponseWriter, r *http.Request, tgt 
 		sc.out = sc.out[:len(sc.txns)]
 	}
 	s.injectServiceTime()
-	if err := tgt.assignInto(r.Context(), s.engine, sc.txns, sc.out); err != nil {
+	if err := s.engine.AssignInto(r.Context(), tgt.Assigner, tgt.Cache, sc.txns, sc.out); err != nil {
 		status := http.StatusServiceUnavailable
 		if errors.Is(err, context.DeadlineExceeded) {
 			status = http.StatusGatewayTimeout
@@ -509,7 +477,7 @@ func (s *Server) handleAssignBinary(w http.ResponseWriter, r *http.Request, tgt 
 	}
 	tgt.count(sc.out)
 	sc.resp = wire.AppendResponse(sc.resp[:0], sc.out)
-	w.Header().Set(ModelSeqHeader, strconv.FormatUint(tgt.seq, 10))
+	w.Header().Set(ModelSeqHeader, strconv.FormatUint(tgt.Seq, 10))
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(sc.resp)))
 	w.WriteHeader(http.StatusOK)
@@ -592,61 +560,69 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.reloadRegistryModel(w, s.cfg.DefaultModel)
 		return
 	}
+	resp, err := s.Reload(req.Path)
+	if err != nil {
+		status := http.StatusUnprocessableEntity
+		if errors.Is(err, errNoSource) {
+			status = http.StatusBadRequest
+		}
+		s.writeError(w, status, "%v", err)
+		return
+	}
+	s.reloads.Add(1)
+	w.Header().Set(ModelSeqHeader, strconv.FormatUint(resp.Seq, 10))
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// errNoSource rejects a reload that names no snapshot when no directory is
+// configured to pick one from.
+var errNoSource = errors.New("missing snapshot path (no -dir configured)")
+
+// Reload loads, compiles and installs a new served generation in
+// single-model mode: the snapshot at path or, when path is empty, the
+// newest good generation of Config.Dir, rolling back past corrupt ones.
+// The new assigner and a fresh answer cache bound to it are stored together
+// in one atomic slot, so no request ever pairs one generation's assigner
+// with another's cache. On error the served generation is unchanged; an
+// empty directory yields an error wrapping model.ErrNoSnapshots. cmd/rockd
+// calls Reload once at startup, POST /v1/reload once per request.
+func (s *Server) Reload(path string) (ReloadResponse, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-
 	var (
 		snap    *model.Snapshot
-		source  string
-		seq     uint64
+		entry   = model.Entry{Path: path}
 		skipped []model.Entry
+		err     error
 	)
 	switch {
-	case req.Path != "":
-		var err error
-		if snap, err = model.Load(req.Path); err != nil {
-			s.writeError(w, http.StatusUnprocessableEntity, "loading snapshot: %v", err)
-			return
+	case path != "":
+		if snap, err = model.Load(path); err != nil {
+			return ReloadResponse{}, fmt.Errorf("loading snapshot: %w", err)
 		}
-		source = req.Path
 	case s.cfg.Dir != nil:
-		var (
-			entry model.Entry
-			err   error
-		)
 		snap, entry, skipped, err = s.cfg.Dir.LoadLatest()
-		if err != nil {
-			s.writeError(w, http.StatusUnprocessableEntity, "loading latest snapshot: %v", err)
-			return
-		}
-		source = entry.Path
-		seq = entry.Seq
 		for _, e := range skipped {
 			s.logger.Printf("rollback: snapshot %s (seq %d) failed to load, falling back", e.Path, e.Seq)
 		}
+		if err != nil {
+			return ReloadResponse{}, fmt.Errorf("loading latest snapshot: %w", err)
+		}
 	default:
-		s.writeError(w, http.StatusBadRequest, "missing snapshot path (no -dir configured)")
-		return
+		return ReloadResponse{}, errNoSource
 	}
-
-	a, err := model.Compile(snap)
+	l, err := registry.NewLoaded(snap, entry.Seq, s.cfg.CacheCap, &s.cacheEvicts)
 	if err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, "compiling snapshot: %v", err)
-		return
+		return ReloadResponse{}, fmt.Errorf("compiling snapshot: %w", err)
 	}
-	if _, err := s.engine.Swap(a); err != nil {
-		s.writeError(w, http.StatusInternalServerError, "installing model: %v", err)
-		return
-	}
-	s.cur.Store(&version{a: a, seq: seq})
-	s.logger.Printf("reloaded model from %s (seq %d, %d clusters, %d labeled transactions)",
-		source, seq, a.Clusters(), len(snap.Txns))
-	resp := ReloadResponse{OK: true, Model: infoOf(a, seq), Source: source, Seq: seq}
+	s.cur.Store(l)
+	s.logger.Printf("serving model from %s (seq %d, %d clusters, %d labeled transactions, theta=%.3f sim=%s)",
+		entry.Path, entry.Seq, l.Assigner.Clusters(), len(snap.Txns), l.Assigner.Theta(), l.Assigner.SimName())
+	resp := ReloadResponse{OK: true, Model: infoOf(l.Assigner, l.Seq), Source: entry.Path, Seq: l.Seq}
 	for _, e := range skipped {
 		resp.RolledBackPast = append(resp.RolledBackPast, e.Path)
 	}
-	w.Header().Set(ModelSeqHeader, strconv.FormatUint(seq, 10))
-	s.writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // handleHealthz is liveness only: the process is up and serving HTTP. It
@@ -674,10 +650,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		rd.Seq = rd.Models[s.cfg.DefaultModel]
-	} else {
-		v := s.cur.Load()
-		rd.ModelLoaded = v.a != nil
-		rd.Seq = v.seq
+	} else if l := s.cur.Load(); l != nil {
+		rd.ModelLoaded = true
+		rd.Seq = l.Seq
 	}
 	rd.Draining = s.draining.Load()
 	rd.Ready = rd.ModelLoaded && !rd.Draining
@@ -688,56 +663,52 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, status, rd)
 }
 
-func (s *Server) metrics() Metrics {
-	m := Metrics{
-		Metrics: s.engine.Metrics(),
-		Shed:    s.shed.Load(),
-		Panics:  s.panics.Load(),
-		Seq:     s.cur.Load().seq,
-	}
+// handleMetrics emits the daemon's counters and latency histogram in
+// Prometheus text exposition format, so the gateway and any scraper can
+// parse and aggregate them. The served-generation families (reloads, cache
+// entries and evictions, seq) come from the single-model slot, or in
+// registry mode sum over every tenant (seq: the default model's).
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	m := s.engine.Metrics()
+	reloads, cacheEvicts := s.reloads.Load(), s.cacheEvicts.Load()
+	var cacheEntries int
+	var seq uint64
+	var models []registry.Info
 	if s.cfg.Registry != nil {
-		m.Models = s.cfg.Registry.List()
-		for _, info := range m.Models {
+		models = s.cfg.Registry.List()
+		for _, info := range models {
+			reloads += info.Reloads
+			cacheEvicts += info.CacheEvicts
+			cacheEntries += info.CacheEntries
 			if info.Name == s.cfg.DefaultModel {
-				m.Seq = info.Seq
+				seq = info.Seq
 			}
 		}
+	} else if l := s.cur.Load(); l != nil {
+		seq = l.Seq
+		if l.Cache != nil {
+			cacheEntries = l.Cache.Len()
+		}
 	}
-	return m
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		s.writeJSON(w, http.StatusOK, s.metrics())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.writePrometheus(w)
-}
-
-// writePrometheus emits the daemon's counters and latency histogram in
-// Prometheus text exposition format, the default /metrics encoding, so the
-// gateway and any scraper can parse and aggregate them.
-func (s *Server) writePrometheus(w http.ResponseWriter) {
-	m := s.metrics()
 	p := promtext.NewWriter(w)
 	p.Counter("rockd_requests_total", "Assign batches served.", float64(m.Requests))
 	p.Counter("rockd_assignments_total", "Individual transactions assigned.", float64(m.Assignments))
 	p.Counter("rockd_outliers_total", "Assignments that landed in no cluster.", float64(m.Outliers))
-	p.Counter("rockd_reloads_total", "Model hot-swaps.", float64(m.Reloads))
+	p.Counter("rockd_reloads_total", "Model hot-swaps.", float64(reloads))
 	p.Counter("rockd_cache_hits_total", "Answer-cache hits on the assign path.", float64(m.CacheHits))
 	p.Counter("rockd_cache_misses_total", "Answer-cache misses on the assign path.", float64(m.CacheMisses))
-	p.Counter("rockd_cache_evictions_total", "Answers displaced by the cache's CLOCK sweep.", float64(m.CacheEvictions))
-	p.Gauge("rockd_cache_entries", "Currently cached answers.", float64(m.CacheEntries))
-	p.Counter("rockd_shed_total", "Assign requests shed with 429 at the admission gate.", float64(m.Shed))
-	p.Counter("rockd_panics_total", "Handler panics converted to 500s.", float64(m.Panics))
-	p.Gauge("rockd_model_seq", "Serving snapshot generation (0 = file-loaded or none).", float64(m.Seq))
+	p.Counter("rockd_cache_evictions_total", "Answers displaced by the cache's CLOCK sweep.", float64(cacheEvicts))
+	p.Gauge("rockd_cache_entries", "Currently cached answers.", float64(cacheEntries))
+	p.Counter("rockd_shed_total", "Assign requests shed with 429 at the admission gate.", float64(s.shed.Load()))
+	p.Counter("rockd_panics_total", "Handler panics converted to 500s.", float64(s.panics.Load()))
+	p.Gauge("rockd_model_seq", "Serving snapshot generation (0 = file-loaded or none).", float64(seq))
 	p.Gauge("rockd_inflight", "Assign requests currently holding an admission slot.", float64(len(s.sem)))
 	lat := s.engine.Latency()
 	p.Histogram("rockd_request_latency_seconds", "Engine batch-assignment latency.",
 		lat.Bounds, lat.Counts, lat.SumSeconds)
 	if s.cfg.Registry != nil {
-		s.writeModelMetrics(p, m.Models)
+		s.writeModelMetrics(p, models)
 	}
 	if err := p.Err(); err != nil {
 		s.logger.Printf("writing metrics: %v", err)
@@ -811,13 +782,13 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, infoOf(lease.Assigner, lease.Seq))
 		return
 	}
-	v := s.cur.Load()
-	if v.a == nil {
+	l := s.cur.Load()
+	if l == nil {
 		s.writeError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
-	w.Header().Set(ModelSeqHeader, strconv.FormatUint(v.seq, 10))
-	s.writeJSON(w, http.StatusOK, infoOf(v.a, v.seq))
+	w.Header().Set(ModelSeqHeader, strconv.FormatUint(l.Seq, 10))
+	s.writeJSON(w, http.StatusOK, infoOf(l.Assigner, l.Seq))
 }
 
 // ModelsResponse is the body of GET /v1/models: every registered model's

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -16,7 +15,6 @@ import (
 	"rock/internal/daemon"
 	"rock/internal/datagen"
 	"rock/internal/model"
-	"rock/internal/serve"
 )
 
 // trainSnapshot clusters a generated basket dataset, builds a Labeler and
@@ -45,26 +43,15 @@ func trainSnapshot(t *testing.T, dir string, clusterSeed, labelSeed int64) (*roc
 	return lab, path
 }
 
-func startDaemon(t *testing.T, path string) (*httptest.Server, *serve.Engine) {
+// startDaemon serves the snapshot at path the way `rockd -model path`
+// does: a fresh pool, then the startup load through Reload.
+func startDaemon(t *testing.T, path string) *httptest.Server {
 	t.Helper()
-	snap, err := model.Load(path)
-	if err != nil {
+	h, srv := startConfigured(t, 0, daemon.Config{})
+	if _, err := h.Reload(path); err != nil {
 		t.Fatal(err)
 	}
-	assigner, err := model.Compile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := serve.New(assigner, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(daemon.New(engine, log.New(io.Discard, "", 0), daemon.Config{}))
-	t.Cleanup(func() {
-		srv.Close()
-		engine.Close()
-	})
-	return srv, engine
+	return srv
 }
 
 func postJSON(t *testing.T, url string, body any) (int, []byte) {
@@ -90,7 +77,7 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 // exactly what the in-process Labeler returns.
 func TestServedAssignmentsMatchInProcessLabeler(t *testing.T) {
 	lab, path := trainSnapshot(t, t.TempDir(), 6, 1)
-	srv, _ := startDaemon(t, path)
+	srv := startDaemon(t, path)
 
 	fresh := datagen.Basket(datagen.ScaledBasketConfig(100), rand.New(rand.NewSource(77)))
 	probes := fresh.Txns[:200]
@@ -124,10 +111,11 @@ func TestServedAssignmentsMatchInProcessLabeler(t *testing.T) {
 
 // TestReloadUnderTraffic swaps models through /v1/reload while concurrent
 // clients stream assignment batches; no request may fail, and every batch
-// must be served consistently by a single model.
+// must be served consistently by a single model: all of its answers equal
+// model A's in-process answers, or all equal model B's.
 func TestReloadUnderTraffic(t *testing.T) {
 	dir := t.TempDir()
-	_, pathA := trainSnapshot(t, dir, 6, 1)
+	labA, pathA := trainSnapshot(t, dir, 6, 1)
 	// Same data, different labeled-set draw: a genuinely distinct model
 	// that still answers sensibly.
 	labB, err := func() (*rock.Labeler, error) {
@@ -148,7 +136,7 @@ func TestReloadUnderTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, engine := startDaemon(t, pathA)
+	srv := startDaemon(t, pathA)
 	fresh := datagen.Basket(datagen.ScaledBasketConfig(100), rand.New(rand.NewSource(88)))
 
 	const clients = 6
@@ -184,8 +172,10 @@ func TestReloadUnderTraffic(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for b := 0; b < perClient; b++ {
 				req := daemon.AssignRequest{Transactions: make([][]int64, 20)}
+				batch := make([]rock.Transaction, len(req.Transactions))
 				for i := range req.Transactions {
 					tx := fresh.Txns[rng.Intn(len(fresh.Txns))]
+					batch[i] = tx
 					ids := make([]int64, len(tx))
 					for j, it := range tx {
 						ids[j] = int64(it)
@@ -206,6 +196,17 @@ func TestReloadUnderTraffic(t *testing.T) {
 					fail <- "short response"
 					return
 				}
+				matchA, matchB := true, true
+				for i, got := range resp.Assignments {
+					c, s := labA.AssignScore(batch[i])
+					matchA = matchA && got.Cluster == c && got.Score == s
+					c, s = labB.AssignScore(batch[i])
+					matchB = matchB && got.Cluster == c && got.Score == s
+				}
+				if !matchA && !matchB {
+					fail <- "batch matches neither model: split across a reload"
+					return
+				}
 			}
 		}(int64(c))
 	}
@@ -220,18 +221,18 @@ func TestReloadUnderTraffic(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	m := engine.Metrics()
-	if m.Reloads == 0 {
+	m := scrape(t, srv.URL)
+	if m["rockd_reloads_total"] == 0 {
 		t.Fatal("no reloads happened during the traffic window")
 	}
-	if want := uint64(clients * perClient); m.Requests < want {
-		t.Fatalf("engine served %d batches, want at least %d", m.Requests, want)
+	if want := float64(clients * perClient); m["rockd_requests_total"] < want {
+		t.Fatalf("engine served %v batches, want at least %v", m["rockd_requests_total"], want)
 	}
 }
 
 func TestHealthzMetricsAndModelEndpoints(t *testing.T) {
 	_, path := trainSnapshot(t, t.TempDir(), 6, 1)
-	srv, _ := startDaemon(t, path)
+	srv := startDaemon(t, path)
 
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -247,18 +248,9 @@ func TestHealthzMetricsAndModelEndpoints(t *testing.T) {
 		t.Fatalf("assign returned %d", status)
 	}
 
-	resp, err = http.Get(srv.URL + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m serve.Metrics
-	err = json.NewDecoder(resp.Body).Decode(&m)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Requests != 1 || m.Assignments != 1 {
-		t.Fatalf("metrics %+v after one single-transaction request", m)
+	if m := scrape(t, srv.URL); m["rockd_requests_total"] != 1 || m["rockd_assignments_total"] != 1 {
+		t.Fatalf("requests %v, assignments %v after one single-transaction request",
+			m["rockd_requests_total"], m["rockd_assignments_total"])
 	}
 
 	resp, err = http.Get(srv.URL + "/v1/model")
@@ -295,7 +287,7 @@ func TestModelEndpointTrainStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, _ := startDaemon(t, statsPath)
+	srv := startDaemon(t, statsPath)
 	resp, err := http.Get(srv.URL + "/v1/model")
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +302,7 @@ func TestModelEndpointTrainStats(t *testing.T) {
 		t.Fatalf("train stats not surfaced: %+v", info)
 	}
 
-	srv2, _ := startDaemon(t, path)
+	srv2 := startDaemon(t, path)
 	resp, err = http.Get(srv2.URL + "/v1/model")
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +320,7 @@ func TestModelEndpointTrainStats(t *testing.T) {
 
 func TestAssignRejectsBadRequests(t *testing.T) {
 	_, path := trainSnapshot(t, t.TempDir(), 6, 1)
-	srv, _ := startDaemon(t, path)
+	srv := startDaemon(t, path)
 
 	cases := []struct {
 		name string
@@ -365,7 +357,7 @@ func TestAssignRejectsBadRequests(t *testing.T) {
 func TestReloadRejectsBadSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	_, path := trainSnapshot(t, dir, 6, 1)
-	srv, engine := startDaemon(t, path)
+	srv := startDaemon(t, path)
 
 	status, _ := postJSON(t, srv.URL+"/v1/reload", daemon.ReloadRequest{Path: filepath.Join(dir, "missing.rockm")})
 	if status != http.StatusUnprocessableEntity {
@@ -376,8 +368,8 @@ func TestReloadRejectsBadSnapshots(t *testing.T) {
 		t.Fatalf("empty path: status %d, want 400", status)
 	}
 	// The original model must still be serving.
-	if engine.Metrics().Reloads != 0 {
-		t.Fatal("failed reloads must not swap the model")
+	if got := scrape(t, srv.URL)["rockd_reloads_total"]; got != 0 {
+		t.Fatalf("failed reloads counted %v swaps, want 0", got)
 	}
 	status, _ = postJSON(t, srv.URL+"/v1/assign", daemon.AssignRequest{Transactions: [][]int64{{1, 2, 3}}})
 	if status != http.StatusOK {

@@ -10,7 +10,6 @@ import (
 	"rock/internal/daemon"
 	"rock/internal/model"
 	"rock/internal/promtext"
-	"rock/internal/serve"
 	"rock/internal/store"
 )
 
@@ -27,19 +26,10 @@ func TestModelSeqHeaderAndReadyz(t *testing.T) {
 	if _, err := dir.Save(schemaSnapshot(0)); err != nil {
 		t.Fatal(err)
 	}
-	snap, entry, _, err := dir.LoadLatest()
-	if err != nil {
+	h, srv := startConfigured(t, 1, daemon.Config{Dir: dir})
+	if _, err := h.Reload(""); err != nil {
 		t.Fatal(err)
 	}
-	a, err := model.Compile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := serve.New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, srv := startConfigured(t, engine, daemon.Config{Dir: dir, InitialSeq: entry.Seq})
 
 	assignSeq := func() string {
 		t.Helper()
@@ -97,19 +87,24 @@ func TestModelSeqHeaderAndReadyz(t *testing.T) {
 	}
 }
 
-// TestMetricsPrometheusExposition: the default /metrics encoding must be
-// parseable exposition text whose counters agree with the JSON variant, and
-// must include the latency histogram and the model seq gauge.
+// TestMetricsPrometheusExposition: /metrics must be parseable exposition
+// text whose counters agree with the traffic sent, and must include the
+// latency histogram, the model seq gauge and the served slot's cache and
+// reload families.
 func TestMetricsPrometheusExposition(t *testing.T) {
-	a, err := model.Compile(schemaSnapshot(0))
+	dir, err := model.OpenDir(store.OS, t.TempDir(), "model", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := serve.New(a, 1)
-	if err != nil {
+	for i := 0; i < 3; i++ {
+		if _, err := dir.Save(schemaSnapshot(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, srv := startConfigured(t, 1, daemon.Config{Dir: dir, CacheCap: 64})
+	if _, err := h.Reload(""); err != nil {
 		t.Fatal(err)
 	}
-	_, srv := startConfigured(t, engine, daemon.Config{InitialSeq: 3})
 
 	for i := 0; i < 4; i++ {
 		status, _ := postJSON(t, srv.URL+"/v1/assign", daemon.AssignRequest{Transactions: [][]int64{{0}, {3}}})
@@ -133,25 +128,37 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	agg := map[string]float64{}
 	promtext.Sum(agg, samples)
 
-	var jm daemon.Metrics
-	mustGetJSON(t, srv.URL+"/metrics?format=json", &jm)
 	for name, want := range map[string]float64{
-		"rockd_requests_total":    float64(jm.Requests),
-		"rockd_assignments_total": float64(jm.Assignments),
-		"rockd_model_seq":         3,
-		"rockd_shed_total":        0,
+		"rockd_requests_total":     4,
+		"rockd_assignments_total":  8,
+		"rockd_model_seq":          3,
+		"rockd_shed_total":         0,
+		"rockd_reloads_total":      0, // the startup load is not a hot swap
+		"rockd_cache_misses_total": 2,
+		"rockd_cache_hits_total":   6,
+		"rockd_cache_entries":      2,
 	} {
 		got, ok := agg[name]
 		if !ok || got != want {
 			t.Errorf("%s = %v (present=%v), want %v", name, got, ok, want)
 		}
 	}
-	if agg["rockd_request_latency_seconds_count"] != float64(jm.Requests) {
-		t.Errorf("histogram count %v, want %v", agg["rockd_request_latency_seconds_count"], jm.Requests)
+	if agg["rockd_request_latency_seconds_count"] != 4 {
+		t.Errorf("histogram count %v, want 4", agg["rockd_request_latency_seconds_count"])
 	}
 	inf, ok := agg[`rockd_request_latency_seconds_bucket{le="+Inf"}`]
-	if !ok || inf != float64(jm.Requests) {
-		t.Errorf("+Inf bucket %v (present=%v), want %v", inf, ok, jm.Requests)
+	if !ok || inf != 4 {
+		t.Errorf("+Inf bucket %v (present=%v), want 4", inf, ok)
+	}
+
+	// A reload counts and binds a fresh, empty cache to the new generation.
+	if status, payload := postJSON(t, srv.URL+"/v1/reload", daemon.ReloadRequest{}); status != http.StatusOK {
+		t.Fatalf("reload: %d (%s)", status, payload)
+	}
+	agg = scrape(t, srv.URL)
+	if agg["rockd_reloads_total"] != 1 || agg["rockd_cache_entries"] != 0 {
+		t.Errorf("after reload: reloads %v, cache entries %v, want 1 and 0",
+			agg["rockd_reloads_total"], agg["rockd_cache_entries"])
 	}
 }
 
@@ -159,15 +166,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 // must take at least the injected time — the knob routing-tier tests and
 // single-host scaling benchmarks rely on.
 func TestInjectedServiceTime(t *testing.T) {
-	a, err := model.Compile(schemaSnapshot(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := serve.New(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, srv := startConfigured(t, engine, daemon.Config{
+	_, srv := startServing(t, schemaSnapshot(0), 1, daemon.Config{
 		InjectLatency: 30 * time.Millisecond, InjectTail: 100 * time.Millisecond, InjectTailEvery: 2,
 	})
 

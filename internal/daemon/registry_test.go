@@ -56,7 +56,7 @@ func startRegistryDaemon(t *testing.T, clusters map[string]int, cfg daemon.Confi
 		}
 	}
 	cfg.Registry = reg
-	engine := serve.NewIdle(0)
+	engine := serve.New(0)
 	srv := httptest.NewServer(daemon.New(engine, log.New(io.Discard, "", 0), cfg))
 	t.Cleanup(func() {
 		srv.Close()
@@ -248,6 +248,33 @@ func TestRegistryPrometheusModelLabels(t *testing.T) {
 	if v := got["rockd_models_warm"]; v != 2 {
 		t.Fatalf("models warm = %v, want 2", v)
 	}
+
+	// The daemon-wide served-generation families sum over every tenant, so
+	// they (and the gateway's rockgate_fleet_* sums of them) agree with the
+	// per-model families: one reload, cached answers in both tenants, and
+	// CLOCK evictions from overfilling beta's 256-entry cache.
+	if status, body := postJSON(t, srv.URL+"/v1/reload/alpha", nil); status != http.StatusOK {
+		t.Fatalf("reload alpha: %d (%s)", status, body)
+	}
+	assignCluster(t, srv.URL+"/v1/assign/alpha")
+	distinct := daemon.AssignRequest{Transactions: make([][]int64, 600)}
+	for i := range distinct.Transactions {
+		distinct.Transactions[i] = []int64{int64(1000 + i)}
+	}
+	if status, body := postJSON(t, srv.URL+"/v1/assign/beta", distinct); status != http.StatusOK {
+		t.Fatalf("assign beta: %d (%s)", status, body)
+	}
+	got = scrape(t, srv.URL)
+	for total, perModel := range map[string]string{
+		"rockd_reloads_total":         "rockd_model_reloads_total",
+		"rockd_cache_entries":         "rockd_model_cache_entries",
+		"rockd_cache_evictions_total": "rockd_model_cache_evictions_total",
+	} {
+		sum := got[perModel+`{model="alpha"}`] + got[perModel+`{model="beta"}`]
+		if sum == 0 || got[total] != sum {
+			t.Errorf("%s = %v, want the per-model sum %v (> 0)", total, got[total], sum)
+		}
+	}
 }
 
 // TestRegistryWeightedModelCoexists proves a heterogeneous pair — plain
@@ -281,7 +308,7 @@ func TestRegistryWeightedModelCoexists(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	engine := serve.NewIdle(0)
+	engine := serve.New(0)
 	srv := httptest.NewServer(daemon.New(engine, log.New(io.Discard, "", 0), daemon.Config{Registry: reg}))
 	defer srv.Close()
 	defer engine.Close()

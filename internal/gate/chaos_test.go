@@ -109,7 +109,7 @@ func startReplica(t *testing.T, dirPath, addr string) *replica {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := serve.NewIdle(0)
+	eng := serve.New(0)
 	h := daemon.New(eng, log.New(io.Discard, "", 0), daemon.Config{Dir: dir})
 	if addr == "" {
 		addr = "127.0.0.1:0"

@@ -103,7 +103,7 @@ func startRegistryReplica(t *testing.T, root, addr string) *replica {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := serve.NewIdle(0)
+	eng := serve.New(0)
 	h := daemon.New(eng, log.New(io.Discard, "", 0), daemon.Config{Registry: reg, DefaultModel: "alpha"})
 	if addr == "" {
 		addr = "127.0.0.1:0"

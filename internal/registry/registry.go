@@ -103,6 +103,23 @@ type Loaded struct {
 	Bytes int64
 }
 
+// NewLoaded compiles snap into a generation served as sequence seq, with a
+// fresh answer cache of cacheCap entries bound to the new assigner
+// (cacheCap <= 0 disables it) whose evictions count into evictions. It is
+// the one constructor of a served generation, for registry tenants and for
+// rockd's single-model slot alike.
+func NewLoaded(snap *model.Snapshot, seq uint64, cacheCap int, evictions *atomic.Uint64) (*Loaded, error) {
+	a, err := model.Compile(snap)
+	if err != nil {
+		return nil, err
+	}
+	l := &Loaded{Assigner: a, Seq: seq, Bytes: snapshotBytes(snap)}
+	if cacheCap > 0 {
+		l.Cache = serve.NewCache(cacheCap, a, evictions)
+	}
+	return l, nil
+}
+
 // TenantStats are one model's monotonic serving counters. All fields are
 // atomics; the serving layer bumps them through Lease.Count and the metrics
 // path reads them via Info.
@@ -286,13 +303,9 @@ func (r *Registry) load(t *tenant, reload bool) (*Loaded, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := model.Compile(snap)
+	l, err := NewLoaded(snap, ent.Seq, r.cfg.CacheCap, &t.stats.CacheEvicts)
 	if err != nil {
 		return nil, err
-	}
-	l := &Loaded{Assigner: a, Seq: ent.Seq, Bytes: snapshotBytes(snap)}
-	if r.cfg.CacheCap > 0 {
-		l.Cache = serve.NewCache(r.cfg.CacheCap, a, &t.stats.CacheEvicts)
 	}
 	t.cur.Store(l)
 	if reload {

@@ -14,9 +14,9 @@ import (
 // entirely. The cache is sharded (one mutex per shard, keyed by a hash of
 // the transaction bytes) so concurrent workers rarely contend, and every
 // cache instance is bound to exactly one *model.Assigner: a batch that
-// captured an older model during a hot swap simply bypasses the cache
-// instead of ever reading another model's answers. Swap installs a fresh
-// empty cache for the new model, which is the whole invalidation story.
+// captured an older model during a hot reload simply bypasses the cache
+// instead of ever reading another model's answers. A reload binds a fresh
+// empty cache to the new model, which is the whole invalidation story.
 //
 // Eviction is CLOCK (second-chance): a hit sets a reference bit under the
 // shard lock; an insert into a full shard sweeps the hand past referenced
@@ -32,8 +32,9 @@ const cacheShards = 16
 type Cache struct {
 	a      *model.Assigner
 	shards [cacheShards]cacheShard
-	// evictions is shared with the owning engine so the counter survives
-	// model swaps (each swap discards the cache instance, not the tally).
+	// evictions is shared with the owner of the served slot so the counter
+	// survives reloads (each reload discards the cache instance, not the
+	// tally).
 	evictions *atomic.Uint64
 }
 
@@ -71,7 +72,7 @@ func NewCache(capacity int, a *model.Assigner, evictions *atomic.Uint64) *Cache 
 
 // For reports whether the cache's answers are valid for a — the guard every
 // reader must apply, because a batch may still be running on the model a
-// hot swap just replaced.
+// hot reload just replaced.
 func (c *Cache) For(a *model.Assigner) bool { return c != nil && c.a == a }
 
 // Len returns the number of cached answers.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -114,15 +115,13 @@ func TestCacheHitZeroAllocs(t *testing.T) {
 }
 
 func TestEngineCacheCounting(t *testing.T) {
-	e, err := New(compile(t, 0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := compile(t, 0)
+	e := New(1)
 	defer e.Close()
-	e.EnableCache(128)
-	txn := dataset.NewTransaction(1, 2, 3)
-	first := e.Assign(txn)
-	second := e.Assign(txn)
+	c := NewCache(128, a, nil)
+	txn := []dataset.Transaction{dataset.NewTransaction(1, 2, 3)}
+	first := assign(t, e, a, c, txn)[0]
+	second := assign(t, e, a, c, txn)[0]
 	if first != second {
 		t.Fatalf("cached answer %+v differs from computed %+v", second, first)
 	}
@@ -130,66 +129,36 @@ func TestEngineCacheCounting(t *testing.T) {
 	if m.CacheMisses != 1 || m.CacheHits != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", m.CacheHits, m.CacheMisses)
 	}
-	if m.CacheEntries != 1 {
-		t.Fatalf("entries=%d, want 1", m.CacheEntries)
+	if c.Len() != 1 {
+		t.Fatalf("entries=%d, want 1", c.Len())
 	}
 }
 
 func TestEngineCacheDisabled(t *testing.T) {
-	e, err := New(compile(t, 0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := compile(t, 0)
+	e := New(1)
 	defer e.Close()
-	txn := dataset.NewTransaction(1, 2, 3)
-	e.Assign(txn)
-	e.Assign(txn)
+	txn := []dataset.Transaction{dataset.NewTransaction(1, 2, 3)}
+	assign(t, e, a, nil, txn)
+	assign(t, e, a, nil, txn)
 	m := e.Metrics()
-	if m.CacheHits != 0 || m.CacheMisses != 0 || m.CacheEntries != 0 {
-		t.Fatalf("cache counters moved while disabled: %+v", m)
-	}
-}
-
-func TestEngineCacheInvalidatedOnSwap(t *testing.T) {
-	// The shifted model relabels cluster 0 as cluster 5: after a swap, a
-	// stale cached answer from the old model is detectably wrong.
-	e, err := New(compile(t, 0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.EnableCache(128)
-	txn := dataset.NewTransaction(1, 2, 3)
-	before := e.Assign(txn)
-	if before.Cluster != 0 {
-		t.Fatalf("unshifted model assigns %+v, want cluster 0", before)
-	}
-	if _, err := e.Swap(compile(t, 5)); err != nil {
-		t.Fatal(err)
-	}
-	after := e.Assign(txn)
-	if after.Cluster != 5 {
-		t.Fatalf("stale cached answer after swap: %+v, want cluster 5", after)
-	}
-	if got := e.CacheLen(); got != 1 {
-		t.Fatalf("new cache holds %d entries, want 1 (the re-computed answer)", got)
+	if m.CacheHits != 0 || m.CacheMisses != 0 {
+		t.Fatalf("cache counters moved with no cache: %+v", m)
 	}
 }
 
 func TestEngineCacheBatchConsistency(t *testing.T) {
-	e, err := New(compile(t, 0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := compile(t, 0)
+	e := New(0)
 	defer e.Close()
-	e.EnableCache(1024)
+	c := NewCache(1024, a, nil)
 	// A batch with heavy repetition: cached and computed answers must agree.
 	txns := make([]dataset.Transaction, 500)
 	for i := range txns {
 		txns[i] = dataset.NewTransaction(dataset.Item(i%7+1), dataset.Item(i%7+2))
 	}
-	want := e.AssignAll(txns)
-	got := e.AssignAll(txns)
+	want := assign(t, e, a, c, txns)
+	got := assign(t, e, a, c, txns)
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("txn %d: %+v then %+v", i, want[i], got[i])
@@ -205,15 +174,13 @@ func TestEngineCacheBatchConsistency(t *testing.T) {
 }
 
 func TestEngineCacheSkipsUnnormalized(t *testing.T) {
-	e, err := New(compile(t, 0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := compile(t, 0)
+	e := New(1)
 	defer e.Close()
-	e.EnableCache(128)
-	raw := dataset.Transaction{2, 1} // unsorted → not normalized
-	e.Assign(raw)
-	e.Assign(raw)
+	c := NewCache(128, a, nil)
+	raw := []dataset.Transaction{{2, 1}} // unsorted → not normalized
+	assign(t, e, a, c, raw)
+	assign(t, e, a, c, raw)
 	m := e.Metrics()
 	if m.CacheHits != 0 || m.CacheMisses != 0 {
 		t.Fatalf("unnormalized transactions must bypass the cache: %+v", m)
@@ -221,16 +188,18 @@ func TestEngineCacheSkipsUnnormalized(t *testing.T) {
 }
 
 func BenchmarkEngineAssignCached(b *testing.B) {
-	a, err := New(compile(b, 0), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer a.Close()
-	a.EnableCache(4096)
-	txn := dataset.NewTransaction(1, 2, 3)
+	a := compile(b, 0)
+	e := New(1)
+	defer e.Close()
+	c := NewCache(4096, a, nil)
+	ctx := context.Background()
+	txn := []dataset.Transaction{dataset.NewTransaction(1, 2, 3)}
+	out := make([]Assignment, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Assign(txn)
+		if err := e.AssignInto(ctx, a, c, txn, out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

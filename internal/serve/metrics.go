@@ -58,15 +58,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(int64(1000) << (latBuckets - 1))
 }
 
-// Mean returns the mean observed latency, or 0 when nothing was observed.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sumNs.Load() / n)
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
@@ -102,31 +93,18 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Metrics is a point-in-time counter snapshot of an Engine, shaped for
-// direct JSON encoding (rockd's GET /metrics?format=json).
+// Metrics is a point-in-time counter snapshot of an Engine.
 type Metrics struct {
-	// Requests counts Assign/AssignAll calls (one batch = one request).
-	Requests uint64 `json:"requests"`
+	// Requests counts AssignInto calls (one batch = one request).
+	Requests uint64
 	// Assignments counts individual transactions assigned.
-	Assignments uint64 `json:"assignments"`
+	Assignments uint64
 	// Outliers counts assignments that landed in no cluster.
-	Outliers uint64 `json:"outliers"`
-	// Reloads counts model hot-swaps.
-	Reloads uint64 `json:"reloads"`
+	Outliers uint64
 	// CacheHits and CacheMisses count answer-cache lookups on the assign
-	// path; both stay 0 when the cache is disabled. Their sum can trail
+	// path; both stay 0 when no cache is in use. Their sum can trail
 	// Assignments: unnormalized transactions bypass the cache, as do
-	// batches that captured a model mid-swap.
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-	// CacheEvictions counts answers displaced by the CLOCK sweep (not the
-	// wholesale invalidation a model swap performs).
-	CacheEvictions uint64 `json:"cache_evictions"`
-	// CacheEntries is the current number of cached answers (a gauge).
-	CacheEntries uint64 `json:"cache_entries"`
-	// P50Millis and P99Millis are per-request latency quantiles from the
-	// fixed-bucket histogram (bucket upper bounds, so conservative).
-	P50Millis  float64 `json:"p50_ms"`
-	P99Millis  float64 `json:"p99_ms"`
-	MeanMillis float64 `json:"mean_ms"`
+	// batches whose cache is bound to another assigner.
+	CacheHits   uint64
+	CacheMisses uint64
 }

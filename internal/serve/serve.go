@@ -1,23 +1,24 @@
 // Package serve is the concurrent assignment engine behind the rockd
-// daemon: it wraps a compiled model (internal/model.Assigner) in a
-// GOMAXPROCS-sized worker pool for batch assignment, a lock-free
-// atomic-pointer model slot for zero-downtime hot reload, and fixed-bucket
-// latency/counter metrics.
+// daemon: a GOMAXPROCS-sized worker pool that labels batches with a
+// compiled model (internal/model.Assigner), a per-model answer cache, and
+// fixed-bucket latency/counter metrics.
 //
-// Consistency model: every batch captures the model pointer once at entry,
-// so a hot swap never mixes two models inside one batch — concurrent
-// requests during a reload are each served entirely by the old or entirely
-// by the new model.
+// The engine holds no model. Every batch names the assigner and answer
+// cache it is served from, and the hot-reload slot lives with the caller:
+// rockd (internal/daemon) keeps its served generation — assigner, cache and
+// snapshot seq as one registry.Loaded — in an atomic pointer, or leases it
+// from the multi-tenant registry, and captures it once per request. So a
+// reload never mixes two models inside one batch: concurrent requests
+// during a reload are each served entirely by the old or entirely by the
+// new generation.
 package serve
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
-	"time"
-
 	"sync/atomic"
+	"time"
 
 	"rock/internal/dataset"
 	"rock/internal/label"
@@ -43,56 +44,34 @@ const chunkSize = 64
 
 type job struct {
 	a *model.Assigner
-	// cache is the answer cache resolved by the submitter for this chunk's
-	// assigner (nil bypasses). Resolving at submit time is what lets one
-	// engine serve many models: each batch carries its own model's cache
-	// instead of the engine's single bound slot.
+	// cache is the answer cache the batch was submitted with (nil
+	// bypasses). Each batch carries its own model's cache, which is what
+	// lets one pool serve many models and generations at once.
 	cache *Cache
 	in    []dataset.Transaction
 	out   []Assignment
 	wg    *sync.WaitGroup
 }
 
-// Engine serves assignments from a hot-swappable model.
+// Engine is the worker pool every batch is labeled on, plus the counters
+// and latency histogram they feed. It holds no model: each batch names the
+// assigner and answer cache it is served from.
 type Engine struct {
-	cur     atomic.Pointer[model.Assigner]
 	jobs    chan job
 	workers int
 	wg      sync.WaitGroup
 
-	// cache is the answer cache for the current model (nil when disabled).
-	// Each instance is bound to one assigner; Swap installs a fresh one, so
-	// a batch running on a just-replaced model bypasses it rather than ever
-	// reading another model's answers.
-	cache    atomic.Pointer[Cache]
-	cacheCap int
-
 	requests    atomic.Uint64
 	assignments atomic.Uint64
 	outliers    atomic.Uint64
-	reloads     atomic.Uint64
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
-	cacheEvicts atomic.Uint64
 	lat         Histogram
 }
 
-// New starts an engine serving from a, with a worker pool of the given size
-// (<= 0 selects GOMAXPROCS). Close releases the pool.
-func New(a *model.Assigner, workers int) (*Engine, error) {
-	if a == nil {
-		return nil, errors.New("serve: nil assigner")
-	}
-	e := NewIdle(workers)
-	e.cur.Store(a)
-	return e, nil
-}
-
-// NewIdle starts an engine with no model loaded: Model returns nil and the
-// serving layer must answer "not ready" until Swap installs one. rockd uses
-// this to come up against an empty snapshot directory and turn ready on the
-// first successful reload.
-func NewIdle(workers int) *Engine {
+// New starts an engine with a worker pool of the given size (<= 0 selects
+// GOMAXPROCS). Close releases the pool.
+func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -113,17 +92,6 @@ func (e *Engine) worker() {
 		e.runChunk(j.a, j.cache, j.in, j.out)
 		j.wg.Done()
 	}
-}
-
-// boundCache resolves the engine's own answer cache for a captured model:
-// non-nil only when the cache instance is bound to exactly that assigner.
-// During a hot swap, chunks still running on the old model see the new
-// model's cache and simply bypass it.
-func (e *Engine) boundCache(a *model.Assigner) *Cache {
-	if cc := e.cache.Load(); cc.For(a) {
-		return cc
-	}
-	return nil
 }
 
 func (e *Engine) runChunk(a *model.Assigner, cache *Cache, in []dataset.Transaction, out []Assignment) {
@@ -169,157 +137,23 @@ func (e *Engine) runChunk(a *model.Assigner, cache *Cache, in []dataset.Transact
 	}
 }
 
-// EnableCache turns on the answer cache with roughly capacity entries,
-// keyed on normalized transaction bytes and invalidated wholesale on every
-// model swap. capacity <= 0 disables it. Call before serving traffic;
-// enabling mid-flight is safe but the instance only binds to the model
-// current at the call.
-func (e *Engine) EnableCache(capacity int) {
-	if capacity <= 0 {
-		e.cacheCap = 0
-		e.cache.Store(nil)
-		return
-	}
-	e.cacheCap = capacity
-	if a := e.cur.Load(); a != nil {
-		e.cache.Store(NewCache(capacity, a, &e.cacheEvicts))
-	}
-}
-
-// CacheLen returns the number of currently cached answers (0 when the cache
-// is disabled).
-func (e *Engine) CacheLen() int {
-	if c := e.cache.Load(); c != nil {
-		return c.Len()
-	}
-	return 0
-}
-
-// Model returns the currently served assigner, or nil when the engine was
-// started idle and no model has been swapped in yet.
-func (e *Engine) Model() *model.Assigner { return e.cur.Load() }
-
-// Ready reports whether a model is loaded.
-func (e *Engine) Ready() bool { return e.cur.Load() != nil }
-
-// Swap atomically installs a new model and returns the previous one (nil
-// when the engine was idle). In-flight batches keep using the model they
-// started with; new batches see the new model immediately. Swap never
-// blocks assignment traffic. A nil assigner is refused — installing it
-// would crash every subsequent Assign — so a buggy reload path degrades to
-// an error, not an outage.
-func (e *Engine) Swap(a *model.Assigner) (*model.Assigner, error) {
+// AssignInto labels ts into out (len(out) must equal len(ts)) with
+// assigner a, fanning chunks across the worker pool; it may be called
+// concurrently from many goroutines. cache is a's answer cache; nil, or a
+// cache bound to another assigner, is bypassed, so a reload race can never
+// serve another generation's answers.
+//
+// AssignInto stops handing chunks to the pool once ctx is done and returns
+// ctx's error. Chunks already submitted run to completion (workers never
+// abandon a chunk mid-slice), so a cancelled call costs at most one chunk
+// per worker of extra latency. On error out is partly written and must be
+// discarded: a half-labeled batch is worse than a clean failure.
+func (e *Engine) AssignInto(ctx context.Context, a *model.Assigner, cache *Cache, ts []dataset.Transaction, out []Assignment) error {
 	if a == nil {
-		return nil, errors.New("serve: refusing to install a nil assigner")
-	}
-	old := e.cur.Swap(a)
-	// A fresh, empty cache bound to the new model — the entire invalidation
-	// story. Batches still running on old keep bypassing (instance check).
-	if e.cacheCap > 0 {
-		e.cache.Store(NewCache(e.cacheCap, a, &e.cacheEvicts))
-	}
-	e.reloads.Add(1)
-	return old, nil
-}
-
-// Assign labels one transaction with the current model.
-func (e *Engine) Assign(t dataset.Transaction) Assignment {
-	start := time.Now()
-	a := e.mustModel()
-	var out [1]Assignment
-	e.runChunk(a, e.boundCache(a), []dataset.Transaction{t}, out[:])
-	e.finish(start, 1)
-	return out[0]
-}
-
-// mustModel returns the current assigner, panicking with a clear message
-// when none is loaded. Serving layers check Ready/Model before assigning;
-// reaching this panic means that guard is missing, and a named panic beats
-// a nil dereference deep inside runChunk.
-func (e *Engine) mustModel() *model.Assigner {
-	a := e.cur.Load()
-	if a == nil {
-		panic("serve: no model loaded (engine started idle; Swap one in first)")
-	}
-	return a
-}
-
-// AssignAll labels a batch with the model current at entry, fanning chunks
-// across the worker pool. AssignAll may be called concurrently from many
-// goroutines; chunks from concurrent batches interleave over the shared
-// pool.
-func (e *Engine) AssignAll(ts []dataset.Transaction) []Assignment {
-	return e.AssignAllWith(e.mustModel(), ts)
-}
-
-// AssignAllWith is AssignAll against an explicitly captured assigner. A
-// caller that must make several passes over one batch under a single model
-// — rockd encodes records against a model's schema and then assigns them —
-// captures the model once and uses it for every step, so a concurrent Swap
-// cannot split the passes across two models.
-func (e *Engine) AssignAllWith(a *model.Assigner, ts []dataset.Transaction) []Assignment {
-	if a == nil {
-		panic("serve: AssignAllWith called with a nil assigner")
-	}
-	cache := e.boundCache(a)
-	start := time.Now()
-	out := make([]Assignment, len(ts))
-	if len(ts) <= chunkSize || e.workers == 1 {
-		e.runChunk(a, cache, ts, out)
-		e.finish(start, len(ts))
-		return out
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(ts); lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		wg.Add(1)
-		e.jobs <- job{a: a, cache: cache, in: ts[lo:hi], out: out[lo:hi], wg: &wg}
-	}
-	wg.Wait()
-	e.finish(start, len(ts))
-	return out
-}
-
-// AssignAllContext is AssignAllWith under a deadline: it stops handing
-// chunks to the pool once ctx is done and returns ctx's error. Chunks
-// already submitted run to completion (workers never abandon a chunk
-// mid-slice), so a cancelled call costs at most one chunk per worker of
-// extra latency. On error the partial assignments are not returned: a
-// half-labeled batch is worse than a clean failure.
-func (e *Engine) AssignAllContext(ctx context.Context, a *model.Assigner, ts []dataset.Transaction) ([]Assignment, error) {
-	out := make([]Assignment, len(ts))
-	if err := e.AssignAllContextInto(ctx, a, ts, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AssignAllContextInto is AssignAllContext writing into a caller-provided
-// slice (len(out) must equal len(ts)), so a pooled-buffer serving loop —
-// the daemon's binary codec path — can assign a batch without allocating.
-func (e *Engine) AssignAllContextInto(ctx context.Context, a *model.Assigner, ts []dataset.Transaction, out []Assignment) error {
-	return e.assignAllContextInto(ctx, a, e.boundCache(a), ts, out)
-}
-
-// AssignAllCachedInto is AssignAllContextInto against an explicitly supplied
-// answer cache instead of the engine's own bound slot. This is the
-// multi-model entry point: a registry holds one cache per loaded model and
-// hands the right one in with each batch, while the pool, histogram and
-// counters stay shared. A cache not bound to a (or nil) is bypassed, so a
-// reload race can never serve another generation's answers.
-func (e *Engine) AssignAllCachedInto(ctx context.Context, a *model.Assigner, cache *Cache, ts []dataset.Transaction, out []Assignment) error {
-	return e.assignAllContextInto(ctx, a, cache, ts, out)
-}
-
-func (e *Engine) assignAllContextInto(ctx context.Context, a *model.Assigner, cache *Cache, ts []dataset.Transaction, out []Assignment) error {
-	if a == nil {
-		panic("serve: AssignAllContext called with a nil assigner")
+		panic("serve: AssignInto called with a nil assigner")
 	}
 	if len(out) != len(ts) {
-		panic("serve: AssignAllContextInto output length mismatch")
+		panic("serve: AssignInto output length mismatch")
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -361,19 +195,12 @@ func (e *Engine) finish(start time.Time, n int) {
 
 // Metrics returns a point-in-time snapshot of the engine's counters.
 func (e *Engine) Metrics() Metrics {
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 	return Metrics{
-		Requests:       e.requests.Load(),
-		Assignments:    e.assignments.Load(),
-		Outliers:       e.outliers.Load(),
-		Reloads:        e.reloads.Load(),
-		CacheHits:      e.cacheHits.Load(),
-		CacheMisses:    e.cacheMisses.Load(),
-		CacheEvictions: e.cacheEvicts.Load(),
-		CacheEntries:   uint64(e.CacheLen()),
-		P50Millis:      ms(e.lat.Quantile(0.50)),
-		P99Millis:      ms(e.lat.Quantile(0.99)),
-		MeanMillis:     ms(e.lat.Mean()),
+		Requests:    e.requests.Load(),
+		Assignments: e.assignments.Load(),
+		Outliers:    e.outliers.Load(),
+		CacheHits:   e.cacheHits.Load(),
+		CacheMisses: e.cacheMisses.Load(),
 	}
 }
 
@@ -381,8 +208,8 @@ func (e *Engine) Metrics() Metrics {
 // histogram, for Prometheus exposition.
 func (e *Engine) Latency() HistogramSnapshot { return e.lat.Snapshot() }
 
-// Close stops the worker pool. No Assign/AssignAll calls may be in flight
-// or follow; rockd closes the engine only after the HTTP server has fully
+// Close stops the worker pool. No AssignInto calls may be in flight or
+// follow; rockd closes the engine only after the HTTP server has fully
 // drained.
 func (e *Engine) Close() {
 	close(e.jobs)

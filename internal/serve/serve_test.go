@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // twoClusterSnapshot builds a tiny model with two well-separated clusters:
 // low items (1..5) label cluster 0, high items (100..105) label cluster 1.
 // shift relabels the clusters (cluster c becomes c+shift), which the
-// hot-swap test uses to tell two models apart.
+// tests use to tell two models apart.
 func twoClusterSnapshot(shift int) *model.Snapshot {
 	return &model.Snapshot{
 		Theta:   0.5,
@@ -61,48 +62,70 @@ func randomProbes(n int, rng *rand.Rand) []dataset.Transaction {
 	return out
 }
 
-func TestAssignAllMatchesSingleAssign(t *testing.T) {
-	e, err := New(compile(t, 0), 4)
-	if err != nil {
+// assign runs one AssignInto batch and fails the test on error.
+func assign(t testing.TB, e *Engine, a *model.Assigner, cache *Cache, ts []dataset.Transaction) []Assignment {
+	t.Helper()
+	out := make([]Assignment, len(ts))
+	if err := e.AssignInto(context.Background(), a, cache, ts, out); err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	probes := randomProbes(500, rand.New(rand.NewSource(7)))
-	batch := e.AssignAll(probes)
-	for i, p := range probes {
-		if got := e.Assign(p); got != batch[i] {
-			t.Fatalf("probe %d: batch %+v vs single %+v", i, batch[i], got)
-		}
-	}
+	return out
 }
 
-func TestAssignAllMatchesAssigner(t *testing.T) {
-	a := compile(t, 0)
-	e, err := New(a, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestAssignIntoMatchesAssigner: whatever route a batch takes — the
+// pool's chunked path, one-transaction batches, through its own answer
+// cache (cold, then warm), or handed a cache bound to another assigner —
+// every answer is exactly what the assigner computes. The foreign cache is
+// pre-filled with the other model's (shifted) answers, so reading it would
+// show.
+func TestAssignIntoMatchesAssigner(t *testing.T) {
+	a, other := compile(t, 0), compile(t, 10)
+	e := New(3)
 	defer e.Close()
 	probes := randomProbes(300, rand.New(rand.NewSource(8)))
-	batch := e.AssignAll(probes)
-	for i, p := range probes {
-		c, s := a.Assign(p)
-		if batch[i].Cluster != c || batch[i].Score != s {
-			t.Fatalf("probe %d: engine %+v vs assigner (%d, %v)", i, batch[i], c, s)
+	own := NewCache(1024, a, nil)
+	foreign := NewCache(1024, other, nil)
+	for _, p := range probes {
+		c, s := other.Assign(p)
+		foreign.Put(p, Assignment{Cluster: c, Score: s})
+	}
+	check := func(name string, got []Assignment, from []dataset.Transaction) {
+		t.Helper()
+		for i, p := range from {
+			c, s := a.Assign(p)
+			if got[i].Cluster != c || got[i].Score != s {
+				t.Fatalf("%s: probe %d: engine %+v vs assigner (%d, %v)", name, i, got[i], c, s)
+			}
 		}
+	}
+	check("batch", assign(t, e, a, nil, probes), probes)
+	for i, p := range probes[:50] {
+		check("single", assign(t, e, a, nil, []dataset.Transaction{p}), probes[i:i+1])
+	}
+	check("own cache, cold", assign(t, e, a, own, probes), probes)
+	check("own cache, warm", assign(t, e, a, own, probes), probes)
+	check("foreign cache", assign(t, e, a, foreign, probes), probes)
+	if m := e.Metrics(); m.CacheHits == 0 {
+		t.Fatal("the warm pass through the own cache took no hits")
 	}
 }
 
-// TestHotSwapBatchConsistency hammers AssignAll from many goroutines while
-// the model is swapped continuously. Every batch must be served entirely by
-// one model: with model A clusters are {0,1}, with model B {10,11}, so a
-// batch mixing low and high cluster ids would prove a torn read.
+// TestHotSwapBatchConsistency hammers AssignInto from many goroutines while
+// a served slot flips continuously between two generations, each an
+// (assigner, fresh cache) pair, as rockd's reload does. Chunks of batches
+// from both generations interleave over the one pool; every batch must be
+// served entirely by the generation it captured: with model A clusters are
+// {0,1}, with model B {10,11}.
 func TestHotSwapBatchConsistency(t *testing.T) {
-	a0, a1 := compile(t, 0), compile(t, 10)
-	e, err := New(a0, 0)
-	if err != nil {
-		t.Fatal(err)
+	type generation struct {
+		a     *model.Assigner
+		cache *Cache
+		shift int
 	}
+	models := [2]*model.Assigner{compile(t, 0), compile(t, 10)}
+	var slot atomic.Pointer[generation]
+	slot.Store(&generation{a: models[0], cache: NewCache(256, models[0], nil)})
+	e := New(0)
 	defer e.Close()
 
 	const (
@@ -110,25 +133,21 @@ func TestHotSwapBatchConsistency(t *testing.T) {
 		batches = 40
 	)
 	stop := make(chan struct{})
-	errs := make(chan string, clients+1)
+	errs := make(chan string, clients)
+	var swaps atomic.Uint64
 	var swapper sync.WaitGroup
 	swapper.Add(1)
 	go func() {
 		defer swapper.Done()
-		for i := 0; ; i++ {
+		for i := 1; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			next := a1
-			if i%2 == 1 {
-				next = a0
-			}
-			if _, err := e.Swap(next); err != nil {
-				errs <- err.Error()
-				return
-			}
+			a := models[i%2]
+			slot.Store(&generation{a: a, cache: NewCache(256, a, nil), shift: 10 * (i % 2)})
+			swaps.Add(1)
 		}
 	}()
 
@@ -139,24 +158,17 @@ func TestHotSwapBatchConsistency(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for b := 0; b < batches; b++ {
-				probes := randomProbes(150, rng)
-				res := e.AssignAll(probes)
-				shift := -1
-				for i, r := range res {
-					if r.Cluster == Outlier {
-						continue
-					}
-					s := 0
-					if r.Cluster >= 10 {
-						s = 10
-					}
-					if shift == -1 {
-						shift = s
-					} else if s != shift {
-						errs <- "batch mixed models"
+				g := slot.Load()
+				out := make([]Assignment, 150)
+				if err := e.AssignInto(context.Background(), g.a, g.cache, randomProbes(len(out), rng), out); err != nil {
+					errs <- err.Error()
+					return
+				}
+				for _, r := range out {
+					if r.Cluster != Outlier && r.Cluster-r.Cluster%10 != g.shift {
+						errs <- "batch served by a generation it did not capture"
 						return
 					}
-					_ = i
 				}
 			}
 		}(int64(c))
@@ -169,24 +181,22 @@ func TestHotSwapBatchConsistency(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if m := e.Metrics(); m.Reloads == 0 {
+	if swaps.Load() == 0 {
 		t.Fatal("swapper never swapped")
 	}
 }
 
 func TestMetricsCounters(t *testing.T) {
-	e, err := New(compile(t, 0), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := compile(t, 0)
+	e := New(2)
 	defer e.Close()
 	probes := []dataset.Transaction{
 		dataset.NewTransaction(1, 2, 3),    // cluster 0
 		dataset.NewTransaction(100, 101),   // cluster 1
 		dataset.NewTransaction(7777, 8888), // outlier
 	}
-	e.AssignAll(probes)
-	e.Assign(probes[2])
+	assign(t, e, a, nil, probes)
+	assign(t, e, a, nil, probes[2:])
 	m := e.Metrics()
 	if m.Requests != 2 {
 		t.Fatalf("requests = %d, want 2", m.Requests)
@@ -197,109 +207,63 @@ func TestMetricsCounters(t *testing.T) {
 	if m.Outliers != 2 {
 		t.Fatalf("outliers = %d, want 2", m.Outliers)
 	}
-	if m.P50Millis <= 0 || m.P99Millis < m.P50Millis {
-		t.Fatalf("implausible latency quantiles: %+v", m)
+	var observed uint64
+	for _, n := range e.Latency().Counts {
+		observed += n
+	}
+	if observed != 2 {
+		t.Fatalf("latency histogram holds %d observations, want 2", observed)
 	}
 }
 
-func TestNewRejectsNilAssigner(t *testing.T) {
-	if _, err := New(nil, 1); err == nil {
-		t.Fatal("nil assigner accepted")
-	}
-}
-
-// TestSwapRejectsNilAssigner: installing nil would crash the next Assign,
-// so Swap must refuse it and leave the current model serving.
-func TestSwapRejectsNilAssigner(t *testing.T) {
-	e, err := New(compile(t, 0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestAssignIntoRejectsNilAssigner: a nil assigner is a missing "no model
+// loaded" guard in the caller, and must fail with a named panic before any
+// chunk reaches a worker, not with a nil dereference inside the pool.
+func TestAssignIntoRejectsNilAssigner(t *testing.T) {
+	e := New(1)
 	defer e.Close()
-	if _, err := e.Swap(nil); err == nil {
-		t.Fatal("nil assigner swapped in")
-	}
-	if e.Model() == nil {
-		t.Fatal("refused swap still cleared the model")
-	}
-	// The engine must still answer.
-	if got := e.Assign(dataset.NewTransaction(1, 2, 3)); got.Cluster != 0 {
-		t.Fatalf("assign after refused swap: %+v", got)
-	}
-}
-
-func TestIdleEngineBecomesReadyOnSwap(t *testing.T) {
-	e := NewIdle(2)
-	defer e.Close()
-	if e.Ready() || e.Model() != nil {
-		t.Fatal("idle engine claims a model")
-	}
-	if _, err := e.Swap(compile(t, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if !e.Ready() {
-		t.Fatal("engine not ready after swap")
-	}
-	if got := e.Assign(dataset.NewTransaction(1, 2, 3)); got.Cluster != 0 {
-		t.Fatalf("assign after first swap: %+v", got)
-	}
-}
-
-// TestAssignAllWithCapturedModel: a batch run through AssignAllWith must be
-// served by the captured model even when the engine's current model has
-// moved on — the invariant the rockd encode-then-assign path leans on.
-func TestAssignAllWithCapturedModel(t *testing.T) {
-	a0, a1 := compile(t, 0), compile(t, 10)
-	e, err := New(a0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	captured := e.Model()
-	if _, err := e.Swap(a1); err != nil {
-		t.Fatal(err)
-	}
-	probes := randomProbes(200, rand.New(rand.NewSource(3)))
-	res := e.AssignAllWith(captured, probes)
-	for i, r := range res {
-		if r.Cluster >= 10 {
-			t.Fatalf("probe %d served by the swapped-in model: %+v", i, r)
+	defer func() {
+		if v := recover(); v == nil {
+			t.Fatal("nil assigner accepted")
+		} else if msg, _ := v.(string); !strings.Contains(msg, "nil assigner") {
+			t.Fatalf("panic %v does not name the nil assigner", v)
 		}
-	}
+	}()
+	out := make([]Assignment, 1)
+	_ = e.AssignInto(context.Background(), nil, nil, []dataset.Transaction{dataset.NewTransaction(1)}, out)
 }
 
-func TestAssignAllContextHonorsCancellation(t *testing.T) {
-	e, err := New(compile(t, 0), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestAssignIntoHonorsCancellation(t *testing.T) {
+	a := compile(t, 0)
+	e := New(2)
 	defer e.Close()
 	probes := randomProbes(500, rand.New(rand.NewSource(4)))
+	out := make([]Assignment, len(probes))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.AssignAllContext(ctx, e.Model(), probes); !errors.Is(err, context.Canceled) {
+	if err := e.AssignInto(ctx, a, nil, probes, out); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled context: err = %v", err)
 	}
+	if m := e.Metrics(); m.Requests != 0 || m.Assignments != 0 {
+		t.Fatalf("cancelled batch was counted: %+v", m)
+	}
 
-	out, err := e.AssignAllContext(context.Background(), e.Model(), probes)
-	if err != nil {
+	if err := e.AssignInto(context.Background(), a, nil, probes, out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(probes) {
-		t.Fatalf("%d assignments for %d probes", len(out), len(probes))
+	if m := e.Metrics(); m.Assignments != uint64(len(probes)) {
+		t.Fatalf("%d assignments for %d probes", m.Assignments, len(probes))
 	}
 }
 
 // TestCloseAfterDrainAndMetricsConsistency is the Engine.Close regression
-// test: concurrent mixed Assign/AssignAll traffic, then a drain (all calls
-// returned), then Close — which must be safe — and the counters must add
-// up exactly: requests == calls, assignments == sum of batch sizes.
+// test: concurrent one-transaction and multi-chunk batches, then a drain
+// (all calls returned), then Close — which must be safe — and the counters
+// must add up exactly: requests == calls, assignments == sum of batch sizes.
 func TestCloseAfterDrainAndMetricsConsistency(t *testing.T) {
-	e, err := New(compile(t, 0), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := compile(t, 0)
+	e := New(4)
 	const goroutines = 8
 	const rounds = 30
 	var calls, txns atomic.Uint64
@@ -310,19 +274,16 @@ func TestCloseAfterDrainAndMetricsConsistency(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for r := 0; r < rounds; r++ {
-				if rng.Intn(2) == 0 {
-					e.Assign(randomProbes(1, rng)[0])
-					calls.Add(1)
-					txns.Add(1)
-				} else {
-					n := 1 + rng.Intn(200)
-					probes := randomProbes(n, rng)
-					if got := e.AssignAll(probes); len(got) != n {
-						panic("short batch")
-					}
-					calls.Add(1)
-					txns.Add(uint64(n))
+				n := 1
+				if rng.Intn(2) == 1 {
+					n = 1 + rng.Intn(200)
 				}
+				out := make([]Assignment, n)
+				if err := e.AssignInto(context.Background(), a, nil, randomProbes(n, rng), out); err != nil {
+					panic(err)
+				}
+				calls.Add(1)
+				txns.Add(uint64(n))
 			}
 		}(int64(g))
 	}

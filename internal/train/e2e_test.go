@@ -54,7 +54,7 @@ func startE2EReplica(t *testing.T, dirPath string) *e2eReplica {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := serve.NewIdle(0)
+	eng := serve.New(0)
 	h := daemon.New(eng, log.New(io.Discard, "", 0), daemon.Config{Dir: dir})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
