@@ -9,10 +9,13 @@
 //
 //	POST /v1/assign   proxied into the fleet (P2C + hedging + retries);
 //	                  responses keep the winning replica's X-Rock-Model-Seq
+//	POST /v1/assign/{model}   the same for one named model
 //	POST /v1/reload   coordinated rolling reload: one replica at a time is
 //	                  drained, reloaded to its newest snapshot generation,
 //	                  and verified ready on the new seq before the next —
 //	                  capacity never drops below N−1
+//	POST /v1/reload/{model}   the same walk for one named model, without
+//	                  draining
 //	GET  /v1/fleet    per-replica health, seq, in-flight and counters
 //	GET  /healthz     liveness (process up)
 //	GET  /readyz      readiness (≥1 routable backend)

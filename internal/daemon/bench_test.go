@@ -73,7 +73,7 @@ func benchProbes(n, batch int) [][]dataset.Transaction {
 
 func benchHandler(b *testing.B, cache int) *daemon.Server {
 	b.Helper()
-	h, _ := startServing(b, benchSnapshot(), 1, daemon.Config{CacheCap: cache})
+	h, _ := startServing(b, benchSnapshot(), 1, cache, daemon.Config{})
 	return h
 }
 
@@ -142,7 +142,7 @@ func BenchmarkHandleAssignJSONScan(b *testing.B) {
 	if a.Compiled() {
 		b.Fatal("index unexpectedly built; scan baseline invalid")
 	}
-	h, _ := startServing(b, s, 1, daemon.Config{})
+	h, _ := startServing(b, s, 1, 0, daemon.Config{})
 	bodies := jsonBodies(b, benchProbes(64, benchBatch))
 	runAssignBench(b, h, bodies, "application/json")
 }
@@ -169,9 +169,9 @@ func BenchmarkHandleAssignBinaryCached(b *testing.B) {
 
 // benchRegistryHandler serves the same reference model through the
 // multi-tenant registry: published as one named model in a registry root,
-// assigned via /v1/assign/bench. Against the single-model benchmarks
-// above, the delta is pure registry overhead — the per-request lease
-// (pin, LRU clock tick, atomic snapshot load) and the {model} route.
+// assigned via /v1/assign/bench. The benchmarks above lease their one
+// model through a one-tenant registry too, so the delta is the {model}
+// route's pattern match and the registry root's directory-backed tenant.
 func benchRegistryHandler(b *testing.B, cacheCap int) *daemon.Server {
 	b.Helper()
 	root := b.TempDir()

@@ -26,8 +26,8 @@ type FleetReplica struct {
 	Errors           uint64 `json:"errors"`
 	Hedges           uint64 `json:"hedges"`
 	HedgeWins        uint64 `json:"hedge_wins"`
-	// Models are the per-model serving generations a registry-mode
-	// replica last reported (absent for single-model replicas).
+	// Models are the per-model serving generations the replica last
+	// reported (absent when it reported none).
 	Models map[string]uint64 `json:"models,omitempty"`
 }
 
@@ -38,25 +38,26 @@ type FleetResponse struct {
 	MaxSeq uint64 `json:"max_seq"`
 	// SkewDetected is true when live replicas disagree on the serving seq.
 	SkewDetected bool `json:"skew_detected"`
-	// Transitioning is true while a fleet-wide rolling reload walks the
-	// fleet.
+	// Transitioning is true while a rolling reload of the legacy route
+	// walks the fleet.
 	Transitioning bool `json:"transitioning"`
-	// ModelMaxSeq is, per registry model, the newest generation any live
-	// replica serves it at (registry-mode fleets only).
+	// ModelMaxSeq is, per model, the newest generation any live replica
+	// serves it at.
 	ModelMaxSeq map[string]uint64 `json:"model_max_seq,omitempty"`
-	// ModelSkew lists registry models whose live replicas disagree on the
-	// serving generation.
+	// ModelSkew lists models whose live replicas disagree on the serving
+	// generation.
 	ModelSkew []string `json:"model_skew,omitempty"`
-	// ModelTransitioning lists registry models mid-rolling-reload.
+	// ModelTransitioning lists models mid-rolling-reload.
 	ModelTransitioning []string `json:"model_transitioning,omitempty"`
 }
 
 func (g *Gateway) fleet() FleetResponse {
-	out := FleetResponse{Transitioning: g.transitioning.Load()}
+	var out FleetResponse
 	seqs := map[uint64]bool{}
 	modelSeqs := map[string]map[uint64]bool{}
 	for _, b := range g.backends {
 		st := b.State()
+		models := b.Models()
 		out.Replicas = append(out.Replicas, FleetReplica{
 			URL:              b.url,
 			State:            st.String(),
@@ -68,14 +69,14 @@ func (g *Gateway) fleet() FleetResponse {
 			Errors:           b.errors.Load(),
 			Hedges:           b.hedges.Load(),
 			HedgeWins:        b.hedgeWins.Load(),
-			Models:           b.Models(),
+			Models:           models,
 		})
 		if st == StateLive {
 			seqs[b.Seq()] = true
 			if b.Seq() > out.MaxSeq {
 				out.MaxSeq = b.Seq()
 			}
-			for name, seq := range b.Models() {
+			for name, seq := range models {
 				if out.ModelMaxSeq == nil {
 					out.ModelMaxSeq = map[string]uint64{}
 				}
@@ -96,8 +97,12 @@ func (g *Gateway) fleet() FleetResponse {
 		}
 	}
 	sort.Strings(out.ModelSkew)
-	g.modelTrans.Range(func(k, _ any) bool {
-		out.ModelTransitioning = append(out.ModelTransitioning, k.(string))
+	g.trans.Range(func(k, _ any) bool {
+		if name := k.(string); name == "" {
+			out.Transitioning = true
+		} else {
+			out.ModelTransitioning = append(out.ModelTransitioning, name)
+		}
 		return true
 	})
 	sort.Strings(out.ModelTransitioning)
@@ -138,83 +143,45 @@ type ReplicaReload struct {
 // POST /v1/reload/{model}.
 type ReloadFleetResponse struct {
 	OK bool `json:"ok"`
-	// Model names the registry model a per-model rolling reload walked
-	// (empty for the fleet-wide single-model reload).
+	// Model names the model a per-model rolling reload walked (empty for
+	// the legacy route).
 	Model    string          `json:"model,omitempty"`
 	Seq      uint64          `json:"seq"`
 	Replicas []ReplicaReload `json:"replicas"`
 }
 
-// handleReload performs a coordinated rolling reload: one replica at a
-// time is drained via the balancer (gateway-tracked in-flight reaches
-// zero), told to reload its newest snapshot generation, then verified back
-// through /readyz — ready and serving the expected seq — before the next
-// replica starts. Capacity therefore never drops below N−1 routable
-// replicas, and every replica must land on the same generation; a mismatch
-// (replica snapshot directories out of sync) aborts the walk.
-func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
-	if !g.reloadMu.TryLock() {
-		g.writeError(w, http.StatusConflict, "a rolling reload is already in progress")
-		return
-	}
-	defer g.reloadMu.Unlock()
-	// While the walk deliberately mixes seqs across the fleet, the skew
-	// filter must not collapse routing onto the first reloaded replica.
-	g.transitioning.Store(true)
-	defer g.transitioning.Store(false)
-
-	resp := ReloadFleetResponse{OK: true}
-	var target uint64
-	targetSet := false
-	for _, b := range g.backends {
-		if b.State() != StateLive {
-			resp.Replicas = append(resp.Replicas, ReplicaReload{
-				URL: b.url, Skipped: true,
-				Error: fmt.Sprintf("replica is %s; it reloads from its snapshot directory on restart/reinstatement", b.State()),
-			})
-			continue
-		}
-		rr := g.reloadReplica(r.Context(), b, &target, &targetSet)
-		resp.Replicas = append(resp.Replicas, rr)
-		if !rr.OK {
-			resp.OK = false
-			break
-		}
-	}
-	resp.Seq = target
-	status := http.StatusOK
-	if !resp.OK {
-		status = http.StatusBadGateway
-	}
-	if g.logger != nil {
-		g.logger.Printf("rolling reload: ok=%v seq=%d (%d replicas)", resp.OK, resp.Seq, len(resp.Replicas))
-	}
-	g.writeJSON(w, status, resp)
+// reloadLock returns the mutex serializing rolling reloads of one route
+// (model name, or "" for the legacy route).
+func (g *Gateway) reloadLock(model string) *sync.Mutex {
+	mu, _ := g.reloadMus.LoadOrStore(model, &sync.Mutex{})
+	return mu.(*sync.Mutex)
 }
 
-// handleReloadModel performs a per-model rolling reload across the fleet:
-// each live replica in turn is told to reload the named registry model's
-// newest generation, then verified through /readyz to be serving that
-// model at the expected seq before the walk moves on. Unlike the
-// fleet-wide reload, no replica is drained — a registry replica swaps one
-// model's compiled assigner atomically while every other tenant keeps
-// serving — so one tenant's publish never pauses another tenant's
-// traffic. Concurrent reloads of the same model are refused with 409;
-// reloads of distinct models proceed independently.
-func (g *Gateway) handleReloadModel(w http.ResponseWriter, r *http.Request) {
+// handleReload performs a coordinated rolling reload of one route across
+// the fleet: POST /v1/reload walks the legacy route (each replica's default
+// model), POST /v1/reload/{model} one named model. One live replica at a
+// time is told to reload its newest generation, then verified through
+// /readyz — ready and serving the expected seq — before the next replica
+// starts, and every replica must land on the same generation; a mismatch
+// (replica snapshot directories out of sync) aborts the walk. The legacy
+// route also drains each replica via the balancer first, so capacity never
+// drops below N−1 routable replicas. A named model's walk drains nothing:
+// a replica swaps one model's compiled assigner atomically while every
+// other model keeps serving, so one tenant's publish never pauses another
+// tenant's traffic. A concurrent reload of the same route is refused with
+// 409; reloads of distinct models proceed independently.
+func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 	model := r.PathValue("model")
-	muAny, _ := g.modelReloadMus.LoadOrStore(model, &sync.Mutex{})
-	mu := muAny.(*sync.Mutex)
+	mu := g.reloadLock(model)
 	if !mu.TryLock() {
-		g.writeError(w, http.StatusConflict, "a rolling reload of model %q is already in progress", model)
+		g.writeError(w, http.StatusConflict, "a rolling reload of %s is already in progress", routeName(model))
 		return
 	}
 	defer mu.Unlock()
-	// Only this model's skew filter is suspended while the walk
-	// deliberately mixes its generations across the fleet; every other
-	// model keeps its filter and its routing untouched.
-	g.modelTrans.Store(model, struct{}{})
-	defer g.modelTrans.Delete(model)
+	// Only this route's skew filter is suspended while the walk mixes its
+	// generations across the fleet.
+	g.trans.Store(model, struct{}{})
+	defer g.trans.Delete(model)
 
 	resp := ReloadFleetResponse{OK: true, Model: model}
 	var target uint64
@@ -223,11 +190,11 @@ func (g *Gateway) handleReloadModel(w http.ResponseWriter, r *http.Request) {
 		if b.State() != StateLive {
 			resp.Replicas = append(resp.Replicas, ReplicaReload{
 				URL: b.url, Skipped: true,
-				Error: fmt.Sprintf("replica is %s; it reloads lazily on its next hit for %q", b.State(), model),
+				Error: fmt.Sprintf("replica is %s; it serves its newest generation once reinstated", b.State()),
 			})
 			continue
 		}
-		rr := g.reloadReplicaModel(r.Context(), b, model, &target, &targetSet)
+		rr := g.reloadReplica(r.Context(), b, model, &target, &targetSet)
 		resp.Replicas = append(resp.Replicas, rr)
 		if !rr.OK {
 			resp.OK = false
@@ -248,22 +215,54 @@ func (g *Gateway) handleReloadModel(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if g.logger != nil {
-		g.logger.Printf("rolling reload of model %q: ok=%v seq=%d (%d replicas)", model, resp.OK, resp.Seq, len(resp.Replicas))
+		g.logger.Printf("rolling reload of %s: ok=%v seq=%d (%d replicas)", routeName(model), resp.OK, resp.Seq, len(resp.Replicas))
 	}
 	g.writeJSON(w, status, resp)
 }
 
-// reloadReplicaModel reloads one registry model on one replica and waits
-// until the replica's /readyz reports the model at the reloaded seq.
-func (g *Gateway) reloadReplicaModel(ctx context.Context, b *Backend, model string, target *uint64, targetSet *bool) ReplicaReload {
+// routeName names a reload route in messages.
+func routeName(model string) string {
+	if model == "" {
+		return "the default model"
+	}
+	return fmt.Sprintf("model %q", model)
+}
+
+// reloadReplica drains one replica (legacy route only), reloads the route on
+// it, checks the reloaded seq against the fleet target, and waits until the
+// replica's /readyz reports the route at that seq.
+func (g *Gateway) reloadReplica(ctx context.Context, b *Backend, model string, target *uint64, targetSet *bool) ReplicaReload {
 	out := ReplicaReload{URL: b.url}
+	path := "/v1/reload"
+	if model == "" {
+		// Drain: out of the balancer, then wait for in-flight zero.
+		b.drained.Store(true)
+		defer b.drained.Store(false)
+		drainDeadline := time.Now().Add(g.cfg.DrainTimeout)
+		for b.inflight.Load() > 0 {
+			if time.Now().After(drainDeadline) {
+				out.Error = fmt.Sprintf("drain timed out with %d requests in flight", b.inflight.Load())
+				return out
+			}
+			select {
+			case <-ctx.Done():
+				out.Error = "canceled while draining: " + ctx.Err().Error()
+				return out
+			case <-time.After(2 * time.Millisecond):
+			}
+		}
+	} else {
+		path += "/" + model
+	}
+
 	rctx, cancel := context.WithTimeout(ctx, g.cfg.ReloadTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, b.url+"/v1/reload/"+model, nil)
+	req, err := http.NewRequestWithContext(rctx, http.MethodPost, b.url+path, bytes.NewReader([]byte("{}")))
 	if err != nil {
 		out.Error = err.Error()
 		return out
 	}
+	req.Header.Set("Content-Type", "application/json")
 	httpResp, err := g.client.Do(req)
 	if err != nil {
 		out.Error = "reload: " + err.Error()
@@ -281,101 +280,39 @@ func (g *Gateway) reloadReplicaModel(ctx context.Context, b *Backend, model stri
 	}
 	out.Seq = rl.Seq
 
-	// Version check: every replica must land the model on the same
-	// generation (a mismatch means the registry roots are out of sync).
-	if !*targetSet {
-		*target, *targetSet = rl.Seq, true
-	} else if rl.Seq != *target {
-		out.Error = fmt.Sprintf("version skew: replica reloaded %q to seq %d, fleet target is %d (registry roots out of sync)", model, rl.Seq, *target)
-		return out
-	}
-
-	for {
-		rd, err := g.fetchReadyz(rctx, b)
-		if err == nil && rd.Ready && rd.Models[model] == rl.Seq {
-			break
-		}
-		select {
-		case <-rctx.Done():
-			out.Error = fmt.Sprintf("replica did not report %q at seq %d: %v", model, rl.Seq, rctx.Err())
-			return out
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	b.setModelSeq(model, rl.Seq)
-	out.OK = true
-	return out
-}
-
-func (g *Gateway) reloadReplica(ctx context.Context, b *Backend, target *uint64, targetSet *bool) ReplicaReload {
-	out := ReplicaReload{URL: b.url}
-	// Drain: out of the balancer, then wait for in-flight zero.
-	b.drained.Store(true)
-	defer b.drained.Store(false)
-	drainDeadline := time.Now().Add(g.cfg.DrainTimeout)
-	for b.inflight.Load() > 0 {
-		if time.Now().After(drainDeadline) {
-			out.Error = fmt.Sprintf("drain timed out with %d requests in flight", b.inflight.Load())
-			return out
-		}
-		select {
-		case <-ctx.Done():
-			out.Error = "canceled while draining: " + ctx.Err().Error()
-			return out
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-
-	// Reload the replica's newest snapshot generation.
-	rctx, cancel := context.WithTimeout(ctx, g.cfg.ReloadTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, b.url+"/v1/reload", bytes.NewReader([]byte("{}")))
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := g.client.Do(req)
-	if err != nil {
-		out.Error = "reload: " + err.Error()
-		return out
-	}
-	var rl daemon.ReloadResponse
-	if err := decodeJSONBody(httpResp, &rl); err != nil {
-		out.Error = "reload: decoding response: " + err.Error()
-		return out
-	}
-	if httpResp.StatusCode != http.StatusOK || !rl.OK {
-		out.Error = fmt.Sprintf("reload: replica answered %d", httpResp.StatusCode)
-		return out
-	}
-	out.Seq = rl.Seq
-
 	// Version check: every replica must land on the same generation.
 	if !*targetSet {
 		*target, *targetSet = rl.Seq, true
 	} else if rl.Seq != *target {
-		out.Error = fmt.Sprintf("version skew: replica reloaded seq %d, fleet target is %d (snapshot directories out of sync)", rl.Seq, *target)
+		out.Error = fmt.Sprintf("version skew: replica reloaded %s to seq %d, fleet target is %d (snapshot directories out of sync)", routeName(model), rl.Seq, *target)
 		return out
 	}
 
 	// Verify through the same readiness probe the health checker trusts
-	// before the next replica is touched.
+	// before the next replica is touched; what it reports is authoritative.
 	for {
 		rd, err := g.fetchReadyz(rctx, b)
-		if err == nil && rd.Ready && rd.Seq == rl.Seq {
+		if err == nil && rd.Ready && readySeq(rd, model) == rl.Seq {
+			b.setSeqs(rd.Seq, rd.Models)
 			break
 		}
 		select {
 		case <-rctx.Done():
-			out.Error = "replica did not come back ready on the new seq: " + rctx.Err().Error()
+			out.Error = fmt.Sprintf("replica did not come back ready with %s at seq %d: %v", routeName(model), rl.Seq, rctx.Err())
 			return out
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	b.seq.Store(rl.Seq)
 	out.OK = true
 	return out
+}
+
+// readySeq is the seq a readiness payload reports for one route.
+func readySeq(rd daemon.Readiness, model string) uint64 {
+	if model == "" {
+		return rd.Seq
+	}
+	return rd.Models[model]
 }
 
 func (g *Gateway) fetchReadyz(ctx context.Context, b *Backend) (daemon.Readiness, error) {
@@ -433,7 +370,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, b := range g.backends {
 		p.Sample("rockgate_backend_model_seq", promtext.Label("backend", b.url), float64(b.Seq()))
 	}
-	p.Header("rockgate_backend_registry_model_seq", "gauge", "Per-model serving generation each registry-mode backend reports.")
+	p.Header("rockgate_backend_registry_model_seq", "gauge", "Per-model serving generation each backend reports.")
 	for _, b := range g.backends {
 		models := b.Models()
 		names := make([]string, 0, len(models))

@@ -39,7 +39,7 @@ func (s State) String() string {
 // state machine (driven by the registry's active /readyz checker plus
 // passive transport-error signals from the request path), the live
 // in-flight count the power-of-two-choices balancer compares, the snapshot
-// generation it last reported, and per-backend traffic counters.
+// generations it last reported, and per-backend traffic counters.
 type Backend struct {
 	url string
 
@@ -53,13 +53,12 @@ type Backend struct {
 	// backend — the balancer's load signal and the rolling-reload
 	// controller's drain barrier.
 	inflight atomic.Int64
-	// seq is the snapshot generation the backend last reported, via probe
-	// payloads and X-Rock-Model-Seq response headers.
-	seq atomic.Uint64
-	// models is the per-model serving generation map a registry-mode
-	// backend last reported through /readyz (nil for single-model
-	// replicas). The map is immutable once stored; updates swap in a copy.
-	models atomic.Pointer[map[string]uint64]
+	// seqs maps each route to the snapshot generation the backend last
+	// reported for it: the legacy route under "" and every named model
+	// under its name. /readyz probes replace the whole map; response
+	// headers only ever raise one entry. The map is immutable once stored;
+	// updates swap in a copy.
+	seqs atomic.Pointer[map[string]uint64]
 	// drained marks the backend administratively out of rotation while the
 	// rolling-reload controller works on it.
 	drained atomic.Bool
@@ -90,13 +89,18 @@ func (b *Backend) State() State {
 	return b.state
 }
 
-// Seq returns the snapshot generation the backend last reported.
-func (b *Backend) Seq() uint64 { return b.seq.Load() }
+// Seq returns the snapshot generation the backend last reported for the
+// legacy route.
+func (b *Backend) Seq() uint64 {
+	seq, _ := b.ModelSeq("")
+	return seq
+}
 
-// ModelSeq returns the generation the backend last reported for one named
-// registry model, and whether the backend reported that model at all.
+// ModelSeq returns the generation the backend last reported for one route
+// (a model name, or "" for the legacy route), and whether the backend
+// reported it at all.
 func (b *Backend) ModelSeq(name string) (uint64, bool) {
-	m := b.models.Load()
+	m := b.seqs.Load()
 	if m == nil {
 		return 0, false
 	}
@@ -104,36 +108,44 @@ func (b *Backend) ModelSeq(name string) (uint64, bool) {
 	return seq, ok
 }
 
-// Models returns the per-model serving generations the backend last
-// reported (nil for single-model replicas). The returned map must not be
-// mutated.
+// Models returns a copy of the per-model serving generations the backend
+// last reported (nil when it reported none).
 func (b *Backend) Models() map[string]uint64 {
-	m := b.models.Load()
+	m := b.seqs.Load()
 	if m == nil {
 		return nil
 	}
-	return *m
+	var out map[string]uint64
+	for k, v := range *m {
+		if k == "" {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]uint64, len(*m))
+		}
+		out[k] = v
+	}
+	return out
 }
 
-// setModels replaces the per-model seq map from a probe payload.
-func (b *Backend) setModels(m map[string]uint64) {
-	if m == nil {
-		b.models.Store(nil)
-		return
-	}
-	cp := make(map[string]uint64, len(m))
-	for k, v := range m {
+// setSeqs replaces every route's seq from a readiness payload: seq for the
+// legacy route, models per name. A probe is authoritative, so it may move a
+// seq backward (a replica rolled back).
+func (b *Backend) setSeqs(seq uint64, models map[string]uint64) {
+	cp := make(map[string]uint64, len(models)+1)
+	for k, v := range models {
 		cp[k] = v
 	}
-	b.models.Store(&cp)
+	cp[""] = seq
+	b.seqs.Store(&cp)
 }
 
-// setModelSeq records one model's serving generation learned from a
+// setModelSeq records one route's serving generation learned from a
 // response header, copy-on-write so concurrent readers stay safe. Stale
 // writes (a late response from before a reload) never move a seq backward.
 func (b *Backend) setModelSeq(name string, seq uint64) {
 	for {
-		old := b.models.Load()
+		old := b.seqs.Load()
 		var cp map[string]uint64
 		if old == nil {
 			cp = map[string]uint64{name: seq}
@@ -147,7 +159,7 @@ func (b *Backend) setModelSeq(name string, seq uint64) {
 			}
 			cp[name] = seq
 		}
-		if b.models.CompareAndSwap(old, &cp) {
+		if b.seqs.CompareAndSwap(old, &cp) {
 			return
 		}
 	}
@@ -156,10 +168,9 @@ func (b *Backend) setModelSeq(name string, seq uint64) {
 // Inflight returns the number of outstanding gateway attempts.
 func (b *Backend) Inflight() int64 { return b.inflight.Load() }
 
-// probeOK records a successful readiness probe reporting the given seq and
-// returns the resulting state.
-func (b *Backend) probeOK(seq uint64, reinstateAfter int) State {
-	b.seq.Store(seq)
+// probeOK records a successful readiness probe and returns the resulting
+// state.
+func (b *Backend) probeOK(reinstateAfter int) State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consecFails = 0

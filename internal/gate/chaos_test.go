@@ -29,6 +29,7 @@ import (
 	"rock/internal/dataset"
 	"rock/internal/gate"
 	"rock/internal/model"
+	"rock/internal/registry"
 	"rock/internal/serve"
 	"rock/internal/store"
 )
@@ -109,8 +110,12 @@ func startReplica(t *testing.T, dirPath, addr string) *replica {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg, err := registry.OpenDir(registry.Config{}, "default", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := serve.New(0)
-	h := daemon.New(eng, log.New(io.Discard, "", 0), daemon.Config{Dir: dir})
+	h := daemon.New(eng, log.New(io.Discard, "", 0), daemon.Config{Registry: reg})
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}

@@ -14,10 +14,11 @@
 //   - model-version skew detection: replicas report the snapshot seq they
 //     serve (X-Rock-Model-Seq, /readyz), and outside a coordinated
 //     transition traffic is routed only to replicas on the newest seq;
-//   - fleet lifecycle: POST /v1/reload performs a coordinated rolling
-//     reload — one replica at a time, drained via the balancer, verified
-//     back through /readyz and version-checked before the next — so a
-//     snapshot push never reduces capacity below N−1.
+//   - fleet lifecycle: POST /v1/reload and POST /v1/reload/{model} perform
+//     a coordinated rolling reload — one replica at a time (drained via the
+//     balancer on the legacy route), verified back through /readyz and
+//     version-checked before the next — so a snapshot push never reduces
+//     capacity below N−1.
 package gate
 
 import (
@@ -120,22 +121,17 @@ type Gateway struct {
 	// adaptive hedge delay.
 	lat serve.Histogram
 
-	// transitioning suppresses the version-skew routing filter while the
-	// rolling-reload controller deliberately walks the fleet through a
-	// mixed-seq state.
-	transitioning atomic.Bool
-	// reloadMu serializes fleet-wide rolling reloads; a second concurrent
-	// reload is refused with 409 rather than queued behind a fleet walk.
-	reloadMu sync.Mutex
-	// modelTrans marks registry models currently mid-rolling-reload
-	// (name → struct{}): the per-model skew filter is suspended for
-	// exactly those models, so one tenant's walk never perturbs routing
-	// for any other tenant.
-	modelTrans sync.Map
-	// modelReloadMus serializes rolling reloads per model name
-	// (name → *sync.Mutex): concurrent reloads of the same model collide
-	// with 409, reloads of distinct models proceed independently.
-	modelReloadMus sync.Map
+	// trans marks the routes currently mid-rolling-reload (model name, or
+	// "" for the legacy route → struct{}): the version-skew filter is
+	// suspended for exactly those routes while the walk deliberately mixes
+	// their generations across the fleet. A legacy walk suspends every
+	// route's filter; one model's walk never perturbs another's routing.
+	trans sync.Map
+	// reloadMus serializes rolling reloads per route (model name, or ""
+	// → *sync.Mutex): a concurrent reload of the same route is refused with
+	// 409 rather than queued, reloads of distinct models proceed
+	// independently.
+	reloadMus sync.Map
 
 	requests   atomic.Uint64 // assign requests admitted
 	hedged     atomic.Uint64 // hedge attempts launched
@@ -178,7 +174,7 @@ func New(cfg Config, logger *log.Logger) *Gateway {
 	g.mux.HandleFunc("POST /v1/assign", g.handleAssign)
 	g.mux.HandleFunc("POST /v1/assign/{model}", g.handleAssign)
 	g.mux.HandleFunc("POST /v1/reload", g.handleReload)
-	g.mux.HandleFunc("POST /v1/reload/{model}", g.handleReloadModel)
+	g.mux.HandleFunc("POST /v1/reload/{model}", g.handleReload)
 	g.mux.HandleFunc("GET /v1/fleet", g.handleFleet)
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
 	g.mux.HandleFunc("GET /readyz", g.handleReadyz)
@@ -239,23 +235,23 @@ func (g *Gateway) probe(b *Backend) {
 	defer cancel()
 	resp, err := g.client.Do(req.WithContext(ctx))
 	if err != nil {
-		g.noteProbeResult(b, false, 0)
+		g.noteProbeResult(b, false)
 		return
 	}
 	var rd daemon.Readiness
 	decodeErr := decodeJSONBody(resp, &rd)
 	ok := decodeErr == nil && resp.StatusCode == http.StatusOK && rd.Ready
 	if ok {
-		b.setModels(rd.Models)
+		b.setSeqs(rd.Seq, rd.Models)
 	}
-	g.noteProbeResult(b, ok, rd.Seq)
+	g.noteProbeResult(b, ok)
 }
 
-func (g *Gateway) noteProbeResult(b *Backend, ok bool, seq uint64) {
+func (g *Gateway) noteProbeResult(b *Backend, ok bool) {
 	before := b.State()
 	var after State
 	if ok {
-		after = b.probeOK(seq, g.cfg.ReinstateAfter)
+		after = b.probeOK(g.cfg.ReinstateAfter)
 	} else {
 		after = b.probeFail(g.cfg.EjectAfter)
 	}
@@ -264,33 +260,27 @@ func (g *Gateway) noteProbeResult(b *Backend, ok bool, seq uint64) {
 	}
 }
 
-// maxSeq returns the newest snapshot generation any routable backend
-// serves.
-func (g *Gateway) maxSeq(now time.Time) uint64 {
-	var max uint64
-	for _, b := range g.backends {
-		if b.routable(now) && b.Seq() > max {
-			max = b.Seq()
-		}
+// transitioning reports whether a rolling reload is deliberately walking
+// the fleet through a mixed-seq state for this route ("" = the legacy
+// route, whose walk covers every route).
+func (g *Gateway) transitioning(model string) bool {
+	if _, ok := g.trans.Load(""); ok {
+		return true
 	}
-	return max
-}
-
-// modelTransitioning reports whether a per-model rolling reload is
-// deliberately walking the fleet through a mixed-seq state for this model.
-func (g *Gateway) modelTransitioning(model string) bool {
-	_, ok := g.modelTrans.Load(model)
+	_, ok := g.trans.Load(model)
 	return ok
 }
 
 // eligible returns the backends the balancer may route to right now for a
-// request against the named registry model ("" = the legacy single-model
-// route). Live, non-drained, non-backing-off backends qualify; outside a
-// coordinated transition, backends serving a stale snapshot seq — the
-// per-model seq when a model is named, the replica-wide seq otherwise —
-// are filtered out so clients never see mixed model versions once a
-// reload has completed. Skew in tenant A never filters routing for tenant
-// B: each model's filter looks only at its own generations.
+// request against the named model ("" = the legacy route). Live,
+// non-drained, non-backing-off backends qualify; outside a coordinated
+// transition, backends serving a stale snapshot seq for that route are
+// filtered out so clients never see mixed model versions once a reload has
+// completed. Skew in tenant A never filters routing for tenant B: each
+// route's filter looks only at its own generations. Backends that do not
+// report the route at all (a registry that has not registered the model)
+// are kept only when nobody reports it — they will answer 404 and the
+// client learns the model is unknown rather than seeing a spurious 503.
 func (g *Gateway) eligible(now time.Time, model string) []*Backend {
 	var live []*Backend
 	for _, b := range g.backends {
@@ -298,41 +288,7 @@ func (g *Gateway) eligible(now time.Time, model string) []*Backend {
 			live = append(live, b)
 		}
 	}
-	if len(live) <= 1 {
-		return live
-	}
-	if model != "" {
-		return g.filterModelSkew(live, model)
-	}
-	if g.transitioning.Load() {
-		return live
-	}
-	max := uint64(0)
-	for _, b := range live {
-		if b.Seq() > max {
-			max = b.Seq()
-		}
-	}
-	newest := live[:0:0]
-	for _, b := range live {
-		if b.Seq() == max {
-			newest = append(newest, b)
-		}
-	}
-	if len(newest) < len(live) {
-		g.skewRoutes.Add(1)
-	}
-	return newest
-}
-
-// filterModelSkew applies the version-skew filter along one model's axis:
-// among live backends that report the model, only those on its newest
-// generation remain. Backends that do not report the model at all (legacy
-// replicas, or a registry that has not registered it) are kept only when
-// nobody reports it — they will answer 404 and the client learns the
-// model is unknown rather than seeing a spurious 503.
-func (g *Gateway) filterModelSkew(live []*Backend, model string) []*Backend {
-	if g.transitioning.Load() || g.modelTransitioning(model) {
+	if len(live) <= 1 || g.transitioning(model) {
 		return live
 	}
 	max, reported := uint64(0), false

@@ -349,12 +349,61 @@ func TestSkewRoutesNewestOnly(t *testing.T) {
 	}
 
 	// During a transition the filter is suspended: both serve.
-	g.transitioning.Store(true)
-	defer g.transitioning.Store(false)
+	g.trans.Store("", struct{}{})
+	defer g.trans.Delete("")
 	waitFor(t, time.Second, "stale replica back in rotation", func() bool {
 		assignThrough(t, srv.URL)
 		return stale.requests.Load() > before
 	})
+}
+
+// TestStaleSeqHeaderKeepsReplicaRoutable: a late response carrying a
+// pre-reload X-Rock-Model-Seq must not move a replica's seq backward, or
+// the skew filter drops a healthy replica until the next probe. Probes stay
+// authoritative: one that reports the older seq does filter it.
+func TestStaleSeqHeaderKeepsReplicaRoutable(t *testing.T) {
+	fresh := newFakeReplica(t, 0, 2)
+	late := newFakeReplica(t, 1, 2)
+	// One probe at construction, none after: only responses move seqs.
+	g, srv := testGateway(t, Config{DisableHedging: true, ProbeInterval: time.Hour}, fresh, late)
+	if g.backends[0].State() != StateLive || g.backends[1].State() != StateLive || g.backends[1].Seq() != 2 {
+		t.Fatalf("after the first probe: states %s/%s, late seq %d", g.backends[0].State(), g.backends[1].State(), g.backends[1].Seq())
+	}
+
+	// late's assign responses now carry seq 1, as a response begun before
+	// its reload would.
+	late.seq.Store(1)
+	waitFor(t, 5*time.Second, "a stale response from the late replica", func() bool {
+		assignThrough(t, srv.URL)
+		return late.requests.Load() > 0
+	})
+	if got := g.backends[1].Seq(); got != 2 {
+		t.Fatalf("late replica seq %d after a stale header, want 2", got)
+	}
+	before := late.requests.Load()
+	for i := 0; i < 40; i++ {
+		if status, _, _ := assignThrough(t, srv.URL); status != http.StatusOK {
+			t.Fatalf("assign %d: %d", i, status)
+		}
+	}
+	if late.requests.Load() == before {
+		t.Fatal("a stale response header filtered the late replica out of rotation")
+	}
+
+	// A probe reporting seq 1 is authoritative: now the replica is stale.
+	g.probeAll()
+	if got := g.backends[1].Seq(); got != 1 {
+		t.Fatalf("late replica seq %d after a probe reporting 1, want 1", got)
+	}
+	before = late.requests.Load()
+	for i := 0; i < 10; i++ {
+		if status, _, seq := assignThrough(t, srv.URL); status != http.StatusOK || seq != "2" {
+			t.Fatalf("assign %d after the probe: status %d seq %s, want the seq-2 replica only", i, status, seq)
+		}
+	}
+	if got := late.requests.Load() - before; got != 0 {
+		t.Fatalf("replica probed at the older seq served %d requests", got)
+	}
 }
 
 // TestRollingReload: the controller must reload replicas one at a time,
@@ -432,8 +481,8 @@ func TestRollingReloadConflict(t *testing.T) {
 	g, srv := testGateway(t, Config{DisableHedging: true}, f)
 	waitFor(t, time.Second, "live", func() bool { return g.backends[0].State() == StateLive })
 
-	g.reloadMu.Lock()
-	defer g.reloadMu.Unlock()
+	g.reloadLock("").Lock()
+	defer g.reloadLock("").Unlock()
 	resp, err := http.Post(srv.URL+"/v1/reload", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)

@@ -59,9 +59,9 @@ func (g *Gateway) writeError(w http.ResponseWriter, status int, format string, a
 // power-of-two-choices, hedge if the primary is slow, retry elsewhere
 // within budget on shed/failure, and relay the winning response verbatim
 // (including its X-Rock-Model-Seq). It serves both the legacy
-// /v1/assign route and the tenant route /v1/assign/{model}; a named
-// model rides the same balancer but its skew filter and seq tracking run
-// along that model's axis only.
+// /v1/assign route and the tenant route /v1/assign/{model}; every route
+// rides the same balancer, with its skew filter and seq tracking along
+// that route's own axis.
 func (g *Gateway) handleAssign(w http.ResponseWriter, r *http.Request) {
 	model := r.PathValue("model")
 	g.requests.Add(1)
@@ -217,7 +217,7 @@ func (g *Gateway) attemptOn(ctx context.Context, b *Backend, model string, body 
 		// arriving faster — count it toward ejection unless we caused it
 		// by canceling the attempt.
 		if ctx.Err() == nil {
-			g.noteProbeResult(b, false, 0)
+			g.noteProbeResult(b, false)
 		}
 		results <- attempt{b: b, hedge: hedge, err: err}
 		return
@@ -234,11 +234,7 @@ func (g *Gateway) attemptOn(ctx context.Context, b *Backend, model string, body 
 		g.lat.Observe(time.Since(start))
 		if s := resp.Header.Get(daemon.ModelSeqHeader); s != "" {
 			if seq, err := strconv.ParseUint(s, 10, 64); err == nil {
-				if model != "" {
-					b.setModelSeq(model, seq)
-				} else {
-					b.seq.Store(seq)
-				}
+				b.setModelSeq(model, seq)
 			}
 		}
 	case resp.StatusCode == http.StatusTooManyRequests:

@@ -33,6 +33,7 @@ import (
 	"rock/internal/dataset"
 	"rock/internal/gate"
 	"rock/internal/model"
+	"rock/internal/registry"
 	"rock/internal/serve"
 	"rock/internal/store"
 	"rock/internal/stream"
@@ -60,8 +61,12 @@ func startSoakReplica(t *testing.T, dirPath string) *soakReplica {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg, err := registry.OpenDir(registry.Config{}, "default", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := serve.New(0)
-	h := daemon.New(eng, log.New(io.Discard, "", 0), daemon.Config{Dir: dir})
+	h := daemon.New(eng, log.New(io.Discard, "", 0), daemon.Config{Registry: reg})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

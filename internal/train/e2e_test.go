@@ -25,6 +25,7 @@ import (
 	"rock/internal/datagen"
 	"rock/internal/gate"
 	"rock/internal/model"
+	"rock/internal/registry"
 	"rock/internal/serve"
 	"rock/internal/store"
 	"rock/internal/train"
@@ -54,8 +55,12 @@ func startE2EReplica(t *testing.T, dirPath string) *e2eReplica {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg, err := registry.OpenDir(registry.Config{}, "default", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := serve.New(0)
-	h := daemon.New(eng, log.New(io.Discard, "", 0), daemon.Config{Dir: dir})
+	h := daemon.New(eng, log.New(io.Discard, "", 0), daemon.Config{Registry: reg})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

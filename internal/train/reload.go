@@ -55,9 +55,9 @@ type ReloadOptions struct {
 	OnRetry func(err error, delay time.Duration)
 	// Counters, when non-nil, receives StageRetries increments per retry.
 	Counters *Counters
-	// Model, when set, targets one named registry model: the reload POSTs
-	// to {base}/v1/reload/{Model} (rockd registry mode, or rockgate's
-	// per-model rolling reload) instead of the single-model /v1/reload.
+	// Model, when set, targets one named model: the reload POSTs to
+	// {base}/v1/reload/{Model} (on rockd, or rockgate's per-model rolling
+	// reload) instead of the legacy /v1/reload.
 	Model string
 }
 
