@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -169,6 +170,29 @@ func TestRegistryReloadIsPerModel(t *testing.T) {
 	// Beta is untouched: same answers, same generation.
 	if c := assignCluster(t, srv.URL+"/v1/assign/beta"); c != 20 {
 		t.Fatalf("beta answered %d after alpha's reload, want 20", c)
+	}
+}
+
+// TestRegistryRefusesPathReload checks that a root model reloads only from
+// its own directory: a path reload on either route is a 400 and leaves the
+// served generation alone.
+func TestRegistryRefusesPathReload(t *testing.T) {
+	srv, _ := startRegistryDaemon(t, map[string]int{"alpha": 10, "default": 30}, daemon.Config{})
+	path := filepath.Join(t.TempDir(), "other.rockm")
+	if err := model.Save(path, regSnapshot(99)); err != nil {
+		t.Fatal(err)
+	}
+	for _, route := range []string{"/v1/reload", "/v1/reload/alpha"} {
+		status, payload := postJSON(t, srv.URL+route, daemon.ReloadRequest{Path: path})
+		if status != http.StatusBadRequest {
+			t.Fatalf("path reload on %s: %d (%s), want 400", route, status, payload)
+		}
+	}
+	if c := assignCluster(t, srv.URL+"/v1/assign/alpha"); c != 10 {
+		t.Fatalf("alpha answered %d after a refused path reload, want 10", c)
+	}
+	if c := assignCluster(t, srv.URL+"/v1/assign"); c != 30 {
+		t.Fatalf("default answered %d after a refused path reload, want 30", c)
 	}
 }
 

@@ -276,7 +276,7 @@ func TestPerModelReloadIsolation(t *testing.T) {
 	lb.Release()
 
 	publish(t, r, "alpha", 11) // seq 2
-	rl, err := r.Reload("alpha")
+	rl, _, err := r.ReloadFrom("alpha", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestConcurrentReloadsDistinctModels(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		publish(t, r, "alpha", 1)
-		if _, err := r.Reload("alpha"); err != nil {
+		if _, _, err := r.ReloadFrom("alpha", ""); err != nil {
 			t.Errorf("reload %d: %v", i, err)
 		}
 	}
