@@ -7,7 +7,7 @@ package rock_test
 // zeroed); testdata/golden.json holds the expected sha256 per case.
 //
 //	go test -run TestGoldenDigests .            # full set
-//	go test -short -run TestGoldenDigests .     # Table 3 θ 0.8 and basket θ 0.5
+//	go test -short -run TestGoldenDigests .     # Table 3 θ 0.8, basket θ 0.5, stream jaccard θ 0.5
 //	go test -run TestGoldenDigests . -update    # rewrite the digests of the cases run
 //
 // A change that alters a digest on purpose names the case and the reason
@@ -30,8 +30,10 @@ import (
 	"rock"
 	"rock/internal/datagen"
 	"rock/internal/experiments"
+	"rock/internal/model"
 	"rock/internal/rockcore"
 	"rock/internal/sample"
+	"rock/internal/stream"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current code")
@@ -113,7 +115,61 @@ func goldenCases() []goldenCase {
 			},
 		})
 	}
+
+	// The online clusterer on the stream-drift benchmark's stream: every
+	// disposition, plus the stats and the published snapshot every 2500
+	// arrivals. θ 0 makes every representative adjacent to every arrival
+	// and the pool join brute force, so it runs a shorter stream.
+	for _, name := range []string{"jaccard", "dice", "cosine", "overlap"} {
+		for _, theta := range []float64{0, 0.3, 0.5, 0.7} {
+			name, theta := name, theta
+			n := 20000
+			if theta == 0 {
+				n = 3000
+			}
+			cases = append(cases, goldenCase{
+				name:  fmt.Sprintf("stream/%s/theta=%.1f", name, theta),
+				short: name == "jaccard" && theta == 0.5,
+				run:   func(t *testing.T) any { return goldenStream(name, theta, n) },
+			})
+		}
+	}
 	return cases
+}
+
+// goldenStreamRun is what one stream case digests.
+type goldenStreamRun struct {
+	Dispositions []stream.Disposition
+	Checkpoints  []goldenStreamCheckpoint
+}
+
+type goldenStreamCheckpoint struct {
+	Clusters   []stream.ClusterStat
+	PoolSize   int
+	WindowRate float64
+	Snapshot   *model.Snapshot
+}
+
+func goldenStream(simName string, theta float64, n int) goldenStreamRun {
+	gen := datagen.NewDriftStream(datagen.DriftConfig{
+		Basket: datagen.ScaledBasketConfig(10), DriftEvery: 5000, DriftFrac: 0.4,
+	}, rand.New(rand.NewSource(experiments.DefaultSeed)))
+	c := stream.New(stream.Config{
+		Theta: theta, SimName: simName, ReclusterEvery: 128, MinPromote: 8, Seed: experiments.DefaultSeed,
+	})
+	var run goldenStreamRun
+	for i := 0; i < n; i++ {
+		txn, _ := gen.Next()
+		run.Dispositions = append(run.Dispositions, c.Observe(txn))
+		if (i+1)%2500 != 0 {
+			continue
+		}
+		var cp goldenStreamCheckpoint
+		cp.Clusters, cp.PoolSize, cp.WindowRate = c.Stats()
+		cp.Snapshot = c.BuildSnapshot()
+		run.Checkpoints = append(run.Checkpoints, cp)
+	}
+	return run
 }
 
 var (
@@ -198,7 +254,7 @@ func goldenDigest(v any) string {
 var timingsType = reflect.TypeOf(rockcore.Timings{})
 
 // encodeCanonical writes v depth first: scalars as 8 little-endian bytes,
-// slices with their length first, pointers with a nil flag.
+// slices and strings with their length first, pointers with a nil flag.
 func encodeCanonical(h hash.Hash, v reflect.Value) {
 	var buf [8]byte
 	put := func(u uint64) {
@@ -237,6 +293,9 @@ func encodeCanonical(h hash.Hash, v reflect.Value) {
 		}
 	case reflect.Float32, reflect.Float64:
 		put(math.Float64bits(v.Float()))
+	case reflect.String:
+		put(uint64(v.Len()))
+		h.Write([]byte(v.String()))
 	default:
 		panic(fmt.Sprintf("golden: cannot encode %s", v.Type()))
 	}
