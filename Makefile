@@ -74,11 +74,13 @@ trainfaults:
 
 # Online-clustering soak: the rockstream -> model.Dir -> fleet loop with a
 # drifting generator (>= 2 generations, drift-score spike + recovery, zero
-# wrong/stale answers), the incremental-index equivalence property, and the
-# stream-vs-batch ARI gate — all under the race detector.
+# wrong/stale answers), the incremental-index equivalence and Retain
+# properties, the stream-vs-batch ARI gate and the representative scatter's
+# tests — all under the race detector.
 stream-soak:
 	$(GO) test -race ./internal/stream -run 'TestStreamSoak|TestStreamMatchesBatchARI' -v
 	$(GO) test -race ./internal/simjoin -run 'TestIncIndex'
+	$(GO) test -race ./internal/cure
 
 check: verify race vet faults chaos multitenant trainfaults stream-soak
 

@@ -50,8 +50,10 @@ func Scatter(n, count, first int, dist func(i, j int) float64) []int {
 // anchor for a scatter over a categorical cluster. When n exceeds medoidCap
 // the medoid is estimated on a random subset drawn from rng; the medoid only
 // seeds the selection, so an approximate one is fine. medoidCap <= 0 or a nil
-// rng disables subsetting. Both the sharded trainer and the streaming
-// clusterer derive their representative sets through this entry point.
+// rng disables subsetting. Without a subset every distance is evaluated
+// once, in the medoid's matrix, and the scatter reads that matrix. Both the
+// sharded trainer and the streaming clusterer derive their representative
+// sets through this entry point.
 func ScatterMedoid(n, count, medoidCap int, dist func(i, j int) float64, rng *rand.Rand) []int {
 	if n <= 0 || count <= 0 {
 		return nil
@@ -65,9 +67,16 @@ func ScatterMedoid(n, count, medoidCap int, dist func(i, j int) float64, rng *ra
 	}
 	// Each unordered pair is evaluated once (dist is symmetric); the row
 	// sums then run in cand order, exactly as a per-pair evaluation would.
+	// When cand is every point the matrix also serves the scatter, so it
+	// carries the diagonal too: dist(i, i) need not be 0 (under 1 - Jaccard
+	// an empty transaction is at distance 1 from itself).
 	k := len(cand)
+	full := k == n
 	d := make([]float64, k*k)
 	for i := 0; i < k; i++ {
+		if full {
+			d[i*k+i] = dist(i, i)
+		}
 		for j := i + 1; j < k; j++ {
 			v := dist(cand[i], cand[j])
 			d[i*k+j], d[j*k+i] = v, v
@@ -84,6 +93,9 @@ func ScatterMedoid(n, count, medoidCap int, dist func(i, j int) float64, rng *ra
 		if total > best {
 			medoid, best = a, total
 		}
+	}
+	if full {
+		return Scatter(n, count, medoid, func(i, j int) float64 { return d[i*n+j] })
 	}
 	return Scatter(n, count, medoid, dist)
 }

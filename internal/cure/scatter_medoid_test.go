@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"rock/internal/dataset"
+	"rock/internal/sim"
 )
 
 // TestScatterMedoidSeedsAtMedoid: with a clear densest point, the first
@@ -118,15 +121,45 @@ func TestScatterMedoidMatchesPerPair(t *testing.T) {
 			}
 		}
 		dist := func(i, j int) float64 { return d[i*tc.n+j] }
-		seed := rng.Int63()
-		r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		got := ScatterMedoid(tc.n, tc.count, tc.medoidCap, dist, r1)
-		want := scatterMedoidNaive(tc.n, tc.count, tc.medoidCap, dist, r2)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%+v: ScatterMedoid %v, per-pair %v", tc, got, want)
+		checkMatchesPerPair(t, fmt.Sprintf("%+v", tc), tc.n, tc.count, tc.medoidCap, dist, rng.Int63())
+	}
+
+	// 1 - Jaccard over transactions, whose diagonal is not all zero: an
+	// empty transaction is at distance 1 from itself. Up to n = medoidCap
+	// the scatter reads the medoid's matrix, diagonal included; above it
+	// the medoid comes from a subset and the scatter calls dist.
+	for _, tc := range []struct{ n, count, medoidCap int }{
+		{12, 6, 0}, {64, 8, 64}, {100, 8, 64},
+	} {
+		txns := make([]dataset.Transaction, tc.n)
+		for i := range txns {
+			if i%5 == 2 {
+				txns[i] = dataset.Transaction{}
+				continue
+			}
+			txn := make(dataset.Transaction, 1+rng.Intn(6))
+			for k := range txn {
+				txn[k] = dataset.Item(rng.Intn(30))
+			}
+			txn.Normalize()
+			txns[i] = txn
 		}
-		if a, b := r1.Int63(), r2.Int63(); a != b {
-			t.Fatalf("%+v: rng diverged after the call", tc)
-		}
+		dist := func(i, j int) float64 { return 1 - sim.Jaccard(txns[i], txns[j]) }
+		checkMatchesPerPair(t, fmt.Sprintf("transactions %+v", tc), tc.n, tc.count, tc.medoidCap, dist, rng.Int63())
+	}
+}
+
+// checkMatchesPerPair runs ScatterMedoid and the per-pair reference on
+// identically seeded rngs and requires the same picks and rng state.
+func checkMatchesPerPair(t *testing.T, name string, n, count, medoidCap int, dist func(i, j int) float64, seed int64) {
+	t.Helper()
+	r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	got := ScatterMedoid(n, count, medoidCap, dist, r1)
+	want := scatterMedoidNaive(n, count, medoidCap, dist, r2)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s: ScatterMedoid %v, per-pair %v", name, got, want)
+	}
+	if a, b := r1.Int63(), r2.Int63(); a != b {
+		t.Fatalf("%s: rng diverged after the call", name)
 	}
 }

@@ -1,8 +1,8 @@
 package simjoin
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"rock/internal/dataset"
 	"rock/internal/links"
@@ -239,24 +239,86 @@ func (ix *IncIndex) probe(self int32, rec []int32) []int32 {
 	return row
 }
 
+// Retain keeps only the records at the ascending indices keep and renumbers
+// them 0…len(keep)-1, as if a fresh index had been fed them in that order:
+// every neighbor list is restricted to the kept records and remapped the
+// way links.Neighbors.Subset does, and later Inserts return what that fresh
+// index would return. Document frequencies are recounted from the
+// survivors and the rank order starts afresh, so items seen only in
+// dropped records leave the index.
+//
+// Retain reuses the lists' storage: rows returned by earlier Inserts and
+// views from earlier Neighbors calls are invalid afterwards.
+func (ix *IncIndex) Retain(keep []int) {
+	remap := make([]int32, len(ix.txns))
+	for i := range remap {
+		remap[i] = -1
+	}
+	for newID, old := range keep {
+		remap[old] = int32(newID)
+	}
+	// Every kept index is at least its new id, so compacting in ascending
+	// order never overwrites a record still to be read.
+	for newID, old := range keep {
+		row := ix.lists[old][:0]
+		for _, j := range ix.lists[old] {
+			if nj := remap[j]; nj >= 0 {
+				row = append(row, nj)
+			}
+		}
+		if len(row) == 0 {
+			row = nil
+		}
+		ix.lists[newID] = row
+		ix.txns[newID] = ix.txns[old]
+		if ix.indexed {
+			ix.recs[newID] = ix.recs[old]
+		}
+	}
+	m := len(keep)
+	clear(ix.lists[m:])
+	clear(ix.txns[m:])
+	ix.lists, ix.txns = ix.lists[:m], ix.txns[:m]
+	// Probe stamps are ids, which restart at 0.
+	ix.seen = ix.seen[:0]
+	if !ix.indexed {
+		return
+	}
+	clear(ix.recs[m:])
+	ix.recs = ix.recs[:m]
+	ix.df = make(map[dataset.Item]int32, len(ix.df))
+	for _, t := range ix.txns {
+		for _, it := range t {
+			ix.df[it]++
+		}
+	}
+	ix.rank = make(map[dataset.Item]int32, len(ix.df))
+	ix.rebuild()
+	ix.rebuildAt = max(64, 2*m)
+}
+
 // rebuild re-ranks every item by (document frequency, item id) ascending and
 // reindexes the corpus — the batch rankRecords and fillPostings applied to
 // the accumulated stream. Ranks frozen since the last rebuild stay mutually
 // consistent in between, so this is purely a performance refresh, never a
 // correctness one.
 func (ix *IncIndex) rebuild() {
-	uniq := make([]dataset.Item, 0, len(ix.df))
-	for it := range ix.df {
-		uniq = append(uniq, it)
+	type key struct {
+		df int32
+		it dataset.Item
 	}
-	sort.Slice(uniq, func(a, b int) bool {
-		if ix.df[uniq[a]] != ix.df[uniq[b]] {
-			return ix.df[uniq[a]] < ix.df[uniq[b]]
+	keys := make([]key, 0, len(ix.df))
+	for it, df := range ix.df {
+		keys = append(keys, key{df, it})
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.df, b.df); c != 0 {
+			return c
 		}
-		return uniq[a] < uniq[b]
+		return cmp.Compare(a.it, b.it)
 	})
-	for r, it := range uniq {
-		ix.rank[it] = int32(r)
+	for r, k := range keys {
+		ix.rank[k.it] = int32(r)
 	}
 	for i, t := range ix.txns {
 		rec := ix.recs[i][:0]
@@ -266,13 +328,13 @@ func (ix *IncIndex) rebuild() {
 		slices.Sort(rec)
 		ix.recs[i] = rec
 	}
-	counts := make([]int32, len(uniq))
+	counts := make([]int32, len(keys))
 	for _, rec := range ix.recs {
 		for _, r := range rec[:ix.prefixLen(len(rec))] {
 			counts[r]++
 		}
 	}
-	ix.postings = make([][]posting, len(uniq))
+	ix.postings = make([][]posting, len(keys))
 	for r, c := range counts {
 		if c > 0 {
 			ix.postings[r] = make([]posting, 0, c)

@@ -39,11 +39,9 @@ import (
 	"sync"
 	"time"
 
-	"rock/internal/cure"
 	"rock/internal/dataset"
 	"rock/internal/links"
 	"rock/internal/rockcore"
-	"rock/internal/sim"
 	"rock/internal/simjoin"
 )
 
@@ -225,12 +223,12 @@ type cluster struct {
 // concurrent use; internally a single mutex serializes stream mutation, so
 // one Clusterer behaves like a single logical consumer of the stream.
 type Clusterer struct {
-	mu    sync.Mutex
-	cfg   Config
-	theta float64
-	f     float64
-	simF  sim.TxnFunc
-	rng   *rand.Rand
+	mu      sync.Mutex
+	cfg     Config
+	theta   float64
+	f       float64
+	measure simjoin.Measure
+	rng     *rand.Rand
 
 	d        *links.Dynamic
 	reps     *repIndex  // the live representatives of d, by item
@@ -273,28 +271,24 @@ func New(cfg Config) *Clusterer {
 	if math.IsNaN(cfg.Theta) || cfg.Theta < 0 || cfg.Theta > 1 {
 		panic("stream: theta out of [0,1]")
 	}
-	simF, ok := sim.TxnByName(cfg.simName())
-	if !ok {
-		panic("stream: unknown similarity " + cfg.simName())
-	}
 	measure, ok := simjoin.MeasureByName(cfg.simName())
 	if !ok {
-		panic("stream: similarity " + cfg.simName() + " has no join measure")
+		panic("stream: unknown similarity " + cfg.simName())
 	}
 	fFunc := cfg.F
 	if fFunc == nil {
 		fFunc = rockcore.DefaultF
 	}
 	c := &Clusterer{
-		cfg:    cfg,
-		theta:  cfg.Theta,
-		f:      fFunc(cfg.Theta),
-		simF:   simF,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		d:      links.NewDynamic(),
-		reps:   newRepIndex(measure, cfg.Theta),
-		pool:   newPool(measure, cfg.Theta),
-		window: make([]uint8, cfg.windowSize()),
+		cfg:     cfg,
+		theta:   cfg.Theta,
+		f:       fFunc(cfg.Theta),
+		measure: measure,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		d:       links.NewDynamic(),
+		reps:    newRepIndex(measure, cfg.Theta),
+		pool:    newPool(measure, cfg.Theta),
+		window:  make([]uint8, cfg.windowSize()),
 	}
 	return c
 }
@@ -430,12 +424,7 @@ func (c *Clusterer) refreshReps(cl *cluster) {
 	if len(cands) == 0 {
 		return
 	}
-	picked := cure.ScatterMedoid(len(cands), c.cfg.numRep(), scatterMedoidCap,
-		func(i, j int) float64 { return 1 - c.simF(cands[i], cands[j]) }, c.rng)
-	reps := make([]dataset.Transaction, len(picked))
-	for i, p := range picked {
-		reps[i] = cands[p]
-	}
+	reps := c.scatterTxns(cands)
 	for _, s := range cl.repSlots {
 		c.d.Remove(s)
 		c.reps.remove(s)

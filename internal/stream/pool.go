@@ -13,16 +13,14 @@ import (
 // by the incremental prefix-filter join so a re-cluster has their
 // theta-neighbor lists ready without an O(n²) pass.
 type pool struct {
-	measure simjoin.Measure
-	theta   float64
-	idx     *simjoin.IncIndex
-	seqs    []int64 // arrival sequence number per pool entry
+	idx  *simjoin.IncIndex
+	seqs []int64 // arrival sequence number per pool entry
 	// sinceRecluster counts pooled arrivals since the last re-cluster.
 	sinceRecluster int
 }
 
 func newPool(m simjoin.Measure, theta float64) *pool {
-	return &pool{measure: m, theta: theta, idx: simjoin.NewIncIndex(m, theta)}
+	return &pool{idx: simjoin.NewIncIndex(m, theta)}
 }
 
 func (p *pool) len() int { return p.idx.Len() }
@@ -33,14 +31,13 @@ func (p *pool) add(t dataset.Transaction, seq int64) {
 	p.sinceRecluster++
 }
 
-// reset rebuilds the pool's index from the surviving entries.
-func (p *pool) reset(txns []dataset.Transaction, seqs []int64) {
-	p.idx = simjoin.NewIncIndex(p.measure, p.theta)
-	p.seqs = p.seqs[:0]
-	for i, t := range txns {
-		p.idx.Insert(t)
-		p.seqs = append(p.seqs, seqs[i])
+// reset keeps the pool entries at the ascending indices keep.
+func (p *pool) reset(keep []int) {
+	p.idx.Retain(keep)
+	for i, k := range keep {
+		p.seqs[i] = p.seqs[k]
 	}
+	p.seqs = p.seqs[:len(keep)]
 }
 
 // poolAdd pools one arrival and re-clusters the pool when due: after
@@ -57,8 +54,8 @@ func (c *Clusterer) poolAdd(t dataset.Transaction) {
 // when their representative sets share enough link structure (the pool
 // re-discovering a cluster that already exists — common right after a drift
 // step), promoted as a brand-new cluster otherwise. Entries that stay
-// un-promoted past MaxAge arrivals age out, and the pool index is rebuilt
-// from the survivors.
+// un-promoted past MaxAge arrivals age out, and the pool index keeps the
+// survivors' neighbor lists.
 func (c *Clusterer) recluster() {
 	c.pool.sinceRecluster = 0
 	c.metrics.Reclusters.Add(1)
@@ -86,9 +83,8 @@ func (c *Clusterer) recluster() {
 		}
 	}
 
-	// Age out what remains, rebuild the index from survivors.
-	var keepTxns []dataset.Transaction
-	var keepSeqs []int64
+	// Age out what remains; the pool index keeps the survivors.
+	var keep []int
 	aged := 0
 	horizon := c.total - int64(c.cfg.maxAge())
 	for i := 0; i < c.pool.len(); i++ {
@@ -99,18 +95,16 @@ func (c *Clusterer) recluster() {
 			aged++
 			continue
 		}
-		keepTxns = append(keepTxns, c.pool.idx.Txn(i))
-		keepSeqs = append(keepSeqs, c.pool.seqs[i])
+		keep = append(keep, i)
 	}
 	// A full pool whose entries neither promote nor age out would re-cluster
 	// on every arrival; shed the oldest entries down to half capacity.
-	if over := len(keepTxns) - c.cfg.poolCap()/2; over > 0 && len(keepTxns) >= c.cfg.poolCap() {
+	if over := len(keep) - c.cfg.poolCap()/2; over > 0 && len(keep) >= c.cfg.poolCap() {
 		aged += over
-		keepTxns = keepTxns[over:]
-		keepSeqs = keepSeqs[over:]
+		keep = keep[over:]
 	}
 	c.metrics.Aged.Add(int64(aged))
-	c.pool.reset(keepTxns, keepSeqs)
+	c.pool.reset(keep)
 }
 
 // promote turns one dense pool group into cluster membership: merged into an
@@ -147,10 +141,10 @@ func (c *Clusterer) promote(txns []dataset.Transaction) {
 }
 
 // scatterTxns picks representative transactions for a member set via the
-// medoid-seeded farthest-point scatter.
+// medoid-seeded farthest-point scatter, under 1 - sim from item bitmaps.
 func (c *Clusterer) scatterTxns(txns []dataset.Transaction) []dataset.Transaction {
 	picked := cure.ScatterMedoid(len(txns), c.cfg.numRep(), scatterMedoidCap,
-		func(i, j int) float64 { return 1 - c.simF(txns[i], txns[j]) }, c.rng)
+		newItemBitmaps(c.measure, txns).dist, c.rng)
 	reps := make([]dataset.Transaction, len(picked))
 	for i, p := range picked {
 		reps[i] = txns[p]
@@ -202,10 +196,11 @@ func (c *Clusterer) repSetGoodness(a, b []dataset.Transaction) float64 {
 	u = append(u, a...)
 	u = append(u, b...)
 	n := len(u)
+	bm := newItemBitmaps(c.measure, u)
 	adj := make([]bool, n*n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if c.simF(u[i], u[j]) >= c.theta {
+			if bm.sim(i, j) >= c.theta {
 				adj[i*n+j] = true
 				adj[j*n+i] = true
 			}
