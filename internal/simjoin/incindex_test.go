@@ -105,7 +105,7 @@ func TestIncIndexUnnormalizedInput(t *testing.T) {
 // fresh index returns for the same arrival, and the rank order and document
 // frequencies hold only the survivors' items — across measures, thresholds
 // on both sides of MinIndexTheta, and keep sets that are empty, full, an
-// oldest-first shed and random, applied twice in a row.
+// oldest-first shed and random, over three insert-then-retain rounds.
 func TestIncIndexRetainMatchesFresh(t *testing.T) {
 	measures := []Measure{Jaccard, Dice, Cosine, Overlap}
 	thetas := []float64{0, 0.01, 0.3, 0.5, 0.8} // 0 and 0.01 take the brute path
