@@ -7,7 +7,7 @@ package rock_test
 // zeroed); testdata/golden.json holds the expected sha256 per case.
 //
 //	go test -run TestGoldenDigests .            # full set
-//	go test -short -run TestGoldenDigests .     # Table 3 θ 0.8, basket θ 0.5, stream jaccard θ 0.5
+//	go test -short -run TestGoldenDigests .     # Table 3 θ 0.8, basket θ 0.5, stream and assign jaccard θ 0.5
 //	go test -run TestGoldenDigests . -update    # rewrite the digests of the cases run
 //
 // A change that alters a digest on purpose names the case and the reason
@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rock"
@@ -33,6 +34,7 @@ import (
 	"rock/internal/model"
 	"rock/internal/rockcore"
 	"rock/internal/sample"
+	"rock/internal/sim"
 	"rock/internal/stream"
 )
 
@@ -134,7 +136,156 @@ func goldenCases() []goldenCase {
 			})
 		}
 	}
+
+	// The serving assigner over a fixed query set: a basket model under the
+	// four count measures (the compiled path; θ 0 makes every labeled
+	// transaction a neighbor), a weighted-Jaccard model (the scan path), a
+	// model whose item ids leave the dense lookup range, and one that
+	// shares a transaction between two sets.
+	for _, name := range []string{"jaccard", "dice", "cosine", "overlap"} {
+		for _, theta := range []float64{0, 0.3, 0.5, 0.7} {
+			name, theta := name, theta
+			cases = append(cases, goldenCase{
+				name:  fmt.Sprintf("assign/%s/theta=%.1f", name, theta),
+				short: name == "jaccard" && theta == 0.5,
+				run: func(t *testing.T) any {
+					snap, queries := goldenAssignModel(name, theta)
+					return goldenAssign(t, snap, queries, true)
+				},
+			})
+		}
+	}
+	cases = append(cases,
+		goldenCase{name: "assign/wjaccard/theta=0.5", run: func(t *testing.T) any {
+			snap, queries := goldenWeightedModel()
+			return goldenAssign(t, snap, queries, false)
+		}},
+		goldenCase{name: "assign/wide-ids/theta=0.5", run: func(t *testing.T) any {
+			snap, queries := goldenAssignModel("jaccard", 0.5)
+			// Every id moves past the dense lookup range except one, which
+			// turns negative.
+			wide := func(txn rock.Transaction) rock.Transaction {
+				items := make([]rock.Item, len(txn))
+				for i, it := range txn {
+					items[i] = it + 1<<21
+					if it == 7 {
+						items[i] = -3
+					}
+				}
+				return rock.NewTransaction(items...)
+			}
+			for i, txn := range snap.Txns {
+				snap.Txns[i] = wide(txn)
+			}
+			for i, q := range queries {
+				queries[i] = wide(q)
+			}
+			return goldenAssign(t, snap, queries, true)
+		}},
+		goldenCase{name: "assign/shared-txn/theta=0.5", run: func(t *testing.T) any {
+			snap, queries := goldenAssignModel("jaccard", 0.5)
+			// Set 1 also claims set 0's first transaction.
+			shared := snap.Sets[0].Points[0]
+			pts := snap.Sets[1].Points
+			at, _ := slices.BinarySearch(pts, shared)
+			snap.Sets[1].Points = slices.Insert(slices.Clone(pts), at, shared)
+			snap.Sets[1].Norm = rockcore.ExpectedNeighbors(len(snap.Sets[1].Points), snap.FTheta)
+			return goldenAssign(t, snap, queries, true)
+		}},
+	)
 	return cases
+}
+
+// goldenAssignment is one digested answer of the serving assigner.
+type goldenAssignment struct {
+	Cluster int
+	Score   float64
+}
+
+// goldenAssign compiles snap, checks which path it serves on, and labels
+// every query.
+func goldenAssign(t *testing.T, snap *model.Snapshot, queries []rock.Transaction, compiled bool) []goldenAssignment {
+	a, err := model.Compile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Compiled() != compiled {
+		t.Fatalf("compiled path %v, want %v", a.Compiled(), compiled)
+	}
+	out := make([]goldenAssignment, len(queries))
+	for i, q := range queries {
+		out[i].Cluster, out[i].Score = a.Assign(q)
+	}
+	return out
+}
+
+// goldenAssignModel labels the first 40 transactions of each of the golden
+// basket's clusters and queries the model with 2000 later transactions,
+// an empty one and one outside the item universe.
+func goldenAssignModel(simName string, theta float64) (*model.Snapshot, []rock.Transaction) {
+	d := goldenBasket()
+	snap := &model.Snapshot{Theta: theta, FTheta: rockcore.DefaultF(theta), SimName: simName}
+	byCluster := map[int][]int{}
+	for i, txn := range d.Txns[:20000] {
+		c := d.Labels[i]
+		if c < 0 || len(byCluster[c]) == 40 {
+			continue
+		}
+		byCluster[c] = append(byCluster[c], len(snap.Txns))
+		snap.Txns = append(snap.Txns, txn)
+	}
+	for c := 0; c < len(d.Defining); c++ {
+		if pts := byCluster[c]; len(pts) > 0 {
+			snap.Sets = append(snap.Sets, model.Set{
+				Cluster: c, Points: pts, Norm: rockcore.ExpectedNeighbors(len(pts), snap.FTheta),
+			})
+		}
+	}
+	queries := slices.Clone(d.Txns[20000:22000])
+	queries = append(queries, rock.NewTransaction(), rock.NewTransaction(999999, 1000000))
+	return snap, queries
+}
+
+// goldenWeightedModel labels 60 mushroom records of each class under
+// weighted Jaccard and queries it with 1500 later records.
+func goldenWeightedModel() (*model.Snapshot, []rock.Transaction) {
+	md := goldenMushroom()
+	schema := &rock.Schema{Attrs: slices.Clone(md.Schema.Attrs)}
+	for a := range schema.Attrs {
+		w := make([]float64, len(schema.Attrs[a].Domain))
+		for v := range w {
+			w[v] = 1 + float64((a+v)%3)/2
+		}
+		schema.Attrs[a].Weights = w
+	}
+	enc := rock.NewEncoder(schema)
+	const theta = 0.5
+	snap := &model.Snapshot{Theta: theta, FTheta: rockcore.DefaultF(theta), SimName: sim.WeightedJaccardName, Schema: schema}
+	byClass := map[int][]int{}
+	for i, rec := range md.Records[:1000] {
+		c := md.Labels[i]
+		if len(byClass[c]) == 60 {
+			continue
+		}
+		byClass[c] = append(byClass[c], len(snap.Txns))
+		snap.Txns = append(snap.Txns, enc.Encode(rec))
+	}
+	classes := make([]int, 0, len(byClass))
+	for c := range byClass {
+		classes = append(classes, c)
+	}
+	slices.Sort(classes)
+	for _, c := range classes {
+		pts := byClass[c]
+		snap.Sets = append(snap.Sets, model.Set{
+			Cluster: c, Points: pts, Norm: rockcore.ExpectedNeighbors(len(pts), snap.FTheta),
+		})
+	}
+	var queries []rock.Transaction
+	for _, rec := range md.Records[1000:2500] {
+		queries = append(queries, enc.Encode(rec))
+	}
+	return snap, queries
 }
 
 // goldenStreamRun is what one stream case digests.
