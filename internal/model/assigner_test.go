@@ -103,6 +103,38 @@ func TestCompiledAssignMatchesScan(t *testing.T) {
 	}
 }
 
+// TestCompiledAssignNegativeItems: a model whose ids include negatives next
+// to small non-negative ones compiles, and answers as the scan does.
+func TestCompiledAssignNegativeItems(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	shift := func(txn dataset.Transaction) dataset.Transaction {
+		out := make(dataset.Transaction, len(txn))
+		for i, it := range txn {
+			out[i] = it - 5
+		}
+		return out
+	}
+	snap := randomSnapshot(rng, "jaccard", 0.4, 3, 20, 40, 8)
+	for i, txn := range snap.Txns {
+		snap.Txns[i] = shift(txn)
+	}
+	a, err := Compile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Compiled() {
+		t.Fatal("built-in measure did not compile a posting index")
+	}
+	for probe := 0; probe < 300; probe++ {
+		q := shift(randomProbe(rng, 40, 8))
+		gc, gs := a.Assign(q)
+		wc, ws := a.AssignScan(q)
+		if gc != wc || gs != ws {
+			t.Fatalf("probe %v: compiled (%d, %v) != scan (%d, %v)", q, gc, gs, wc, ws)
+		}
+	}
+}
+
 // TestAssignUnnormalizedFallsBack: a raw (unsorted / duplicated) query must
 // take the scan path and still agree with scanning directly.
 func TestAssignUnnormalizedFallsBack(t *testing.T) {

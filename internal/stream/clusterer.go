@@ -15,12 +15,13 @@
 //     count to a cluster is computed against that universe, and the fold
 //     decision is the paper's Eq. 2 goodness criterion with n_j = 1:
 //     crossLinks(t, C) / ((n+1)^(1+2f) - n^(1+2f) - 1).
-//   - An item → slot posting index over the live representatives (repIndex)
-//     answers every theta-adjacency question about them — an arrival's
-//     neighbors, a new representative's neighbors, which clusters a pool
-//     group could merge into — from exact intersection counts and the same
-//     float predicate as internal/sim; above theta 0 only representatives
-//     sharing an item with the query are examined.
+//   - An item → slot posting index over the live representatives
+//     (simjoin.Postings, the kernel the serving assigner's §4.6 labeling
+//     runs too) answers every theta-adjacency question about them — an
+//     arrival's neighbors, a new representative's neighbors, which clusters
+//     a pool group could merge into — from exact intersection counts and
+//     the same float predicate as internal/sim; above theta 0 only
+//     representatives sharing an item with the query are examined.
 //   - Arrivals that fit no cluster land in a bounded outlier pool indexed by
 //     the incremental prefix-filter join (simjoin.IncIndex). The pool is
 //     periodically re-clustered with the full ROCK algorithm; dense groups
@@ -230,8 +231,12 @@ type Clusterer struct {
 	measure simjoin.Measure
 	rng     *rand.Rand
 
-	d        *links.Dynamic
-	reps     *repIndex  // the live representatives of d, by item
+	d *links.Dynamic
+	// reps indexes the live representatives of d by item, at their d
+	// slots; owner[s] is the id of the cluster owning slot s.
+	reps     *simjoin.Postings
+	owner    []int32
+	repProbe simjoin.ProbeScratch
 	clusters []*cluster // stable id = position; clusters are never removed
 	nextID   int
 
@@ -286,7 +291,7 @@ func New(cfg Config) *Clusterer {
 		measure: measure,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		d:       links.NewDynamic(),
-		reps:    newRepIndex(measure, cfg.Theta),
+		reps:    simjoin.NewPostings(measure, cfg.Theta, nil),
 		pool:    newPool(measure, cfg.Theta),
 		window:  make([]uint8, cfg.windowSize()),
 	}
@@ -344,10 +349,10 @@ func (c *Clusterer) bestCluster(t dataset.Transaction) (*cluster, float64) {
 	for len(c.direct) < len(c.clusters) {
 		c.direct = append(c.direct, 0)
 	}
-	adj := c.reps.adjacent(t)
+	adj := c.reps.Probe(&c.repProbe, t)
 	for _, s := range adj {
 		c.d.Mark(c.probe, s)
-		o := c.reps.owner[s]
+		o := c.owner[s]
 		if c.direct[o] == 0 {
 			c.cands = append(c.cands, o)
 		}
@@ -427,7 +432,7 @@ func (c *Clusterer) refreshReps(cl *cluster) {
 	reps := c.scatterTxns(cands)
 	for _, s := range cl.repSlots {
 		c.d.Remove(s)
-		c.reps.remove(s)
+		c.reps.Remove(s)
 	}
 	cl.repSlots = cl.repSlots[:0]
 	c.registerReps(cl, reps)
@@ -445,8 +450,12 @@ const scatterMedoidCap = 512
 func (c *Clusterer) registerReps(cl *cluster, reps []dataset.Transaction) {
 	cl.repTxns = reps
 	for _, r := range reps {
-		s := c.d.Add(c.reps.adjacent(r))
-		c.reps.add(s, r, cl.id)
+		s := c.d.Add(c.reps.Probe(&c.repProbe, r))
+		c.reps.Add(s, r)
+		for int(s) >= len(c.owner) {
+			c.owner = append(c.owner, -1)
+		}
+		c.owner[s] = int32(cl.id)
 		cl.repSlots = append(cl.repSlots, s)
 	}
 }

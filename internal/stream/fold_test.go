@@ -9,6 +9,7 @@ import (
 	"rock/internal/datagen"
 	"rock/internal/dataset"
 	"rock/internal/rockcore"
+	"rock/internal/simjoin"
 )
 
 // scanBestCluster is the reference fold scoring: every representative of
@@ -57,9 +58,11 @@ func scanMergeTarget(c *Clusterer, cand []dataset.Transaction) *cluster {
 	return nil
 }
 
-// checkReps asserts that the rep index holds exactly the live
-// representatives and that the Dynamic adjacency among them is the
-// brute-force θ-adjacency under c.simF.
+// checkReps asserts that the rep index answers for exactly the live
+// representatives — every live rep's probe is the brute-force θ-adjacency
+// under c.simF over the live reps, itself included — that owner maps each
+// rep slot to its cluster, and that the Dynamic adjacency among them is
+// the brute-force θ-adjacency.
 func checkReps(t *testing.T, c *Clusterer) {
 	t.Helper()
 	type rep struct {
@@ -72,33 +75,29 @@ func checkReps(t *testing.T, c *Clusterer) {
 			t.Fatalf("cluster %d: %d slots for %d reps", cl.id, len(cl.repSlots), len(cl.repTxns))
 		}
 		for i, s := range cl.repSlots {
-			if int(s) >= len(c.reps.owner) || c.reps.owner[s] != int32(cl.id) {
-				t.Fatalf("cluster %d: slot %d not indexed as its own", cl.id, s)
-			}
-			if !c.reps.txn[s].Equal(cl.repTxns[i]) {
-				t.Fatalf("cluster %d: slot %d indexes %v, rep is %v", cl.id, s, c.reps.txn[s], cl.repTxns[i])
+			if int(s) >= len(c.owner) || c.owner[s] != int32(cl.id) {
+				t.Fatalf("cluster %d: slot %d not owned by it", cl.id, s)
 			}
 			live = append(live, rep{s, cl.repTxns[i]})
 		}
 	}
-	indexed, postings := 0, 0
-	for s, o := range c.reps.owner {
-		if o >= 0 {
-			indexed++
-			postings += len(c.reps.txn[s])
-		}
+	if c.d.Live() != len(live) {
+		t.Fatalf("Dynamic holds %d slots, live reps %d", c.d.Live(), len(live))
 	}
-	for it, list := range c.reps.post {
-		for _, s := range list {
-			if c.reps.owner[s] < 0 || !c.reps.txn[s].Contains(it) {
-				t.Fatalf("posting %d lists slot %d, which is free or lacks the item", it, s)
+	var sc simjoin.ProbeScratch
+	for _, a := range live {
+		var want []int32
+		for _, b := range live {
+			if c.simF(a.txn, b.txn) >= c.theta {
+				want = append(want, b.slot)
 			}
 		}
-		postings -= len(list)
-	}
-	if indexed != len(live) || c.d.Live() != len(live) || postings != 0 {
-		t.Fatalf("index holds %d slots (%d postings off), Dynamic %d, live reps %d",
-			indexed, postings, c.d.Live(), len(live))
+		got := slices.Clone(c.reps.Probe(&sc, a.txn))
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("rep slot %d %v: index answers %v, brute force %v", a.slot, a.txn, got, want)
+		}
 	}
 	for i := range live {
 		for j := i + 1; j < len(live); j++ {

@@ -168,8 +168,8 @@ func (c *Clusterer) scatterTxns(txns []dataset.Transaction) []dataset.Transactio
 func (c *Clusterer) mergeTarget(cand []dataset.Transaction) *cluster {
 	var ids []int32
 	for _, r := range cand {
-		for _, s := range c.reps.adjacent(r) {
-			ids = append(ids, c.reps.owner[s])
+		for _, s := range c.reps.Probe(&c.repProbe, r) {
+			ids = append(ids, c.owner[s])
 		}
 	}
 	slices.Sort(ids)
