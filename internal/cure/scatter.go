@@ -1,13 +1,17 @@
 package cure
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // Scatter selects up to count well-scattered candidates from n by CURE's
 // farthest-point heuristic (Guha, Rastogi & Shim, SIGMOD 1998, §3.1): the
-// selection starts from first and repeatedly adds the candidate whose
-// minimum distance to the already-chosen set is largest. Indices are in
-// [0, n); dist must be symmetric. The returned indices are in selection
-// order (first element is first).
+// selection starts from first and repeatedly adds the unchosen candidate
+// whose minimum distance to the already-chosen set is largest (the lowest
+// index on ties). Indices are in [0, n) and distinct; dist must be
+// symmetric and is never asked for a point's distance to itself. The
+// returned indices are in selection order (first element is first).
 //
 // The heuristic is metric-agnostic on purpose: cure's own merge step runs
 // it under squared Euclidean distance over numeric points, and the sharded
@@ -17,31 +21,34 @@ func Scatter(n, count, first int, dist func(i, j int) float64) []int {
 	if n <= 0 || count <= 0 || first < 0 || first >= n {
 		return nil
 	}
-	if count > n {
-		count = n
-	}
-	chosen := make([]int, 1, count)
-	chosen[0] = first
-	// minDist[i] is the distance from candidate i to the chosen set.
+	count = min(count, n)
+	// minDist[i] is the distance from candidate i to the chosen set, -Inf
+	// once i is chosen.
 	minDist := make([]float64, n)
-	for i := 0; i < n; i++ {
-		minDist[i] = dist(i, first)
+	for i := range minDist {
+		minDist[i] = math.Inf(1)
 	}
-	for len(chosen) < count {
-		best, bestD := -1, -1.0
-		for i := 0; i < n; i++ {
-			if minDist[i] > bestD {
-				best, bestD = i, minDist[i]
-			}
+	chosen := make([]int, 0, count)
+	for next := first; ; {
+		chosen = append(chosen, next)
+		if len(chosen) == count {
+			return chosen
 		}
-		chosen = append(chosen, best)
-		for i := 0; i < n; i++ {
-			if d := dist(i, best); d < minDist[i] {
+		minDist[next] = math.Inf(-1)
+		best := -1
+		for i, m := range minDist {
+			if math.IsInf(m, -1) {
+				continue
+			}
+			if d := dist(i, next); d < m {
 				minDist[i] = d
 			}
+			if best < 0 || minDist[i] > minDist[best] {
+				best = i
+			}
 		}
+		next = best
 	}
-	return chosen
 }
 
 // ScatterMedoid runs Scatter seeded at the point set's medoid: the point
@@ -67,16 +74,11 @@ func ScatterMedoid(n, count, medoidCap int, dist func(i, j int) float64, rng *ra
 	}
 	// Each unordered pair is evaluated once (dist is symmetric); the row
 	// sums then run in cand order, exactly as a per-pair evaluation would.
-	// When cand is every point the matrix also serves the scatter, so it
-	// carries the diagonal too: dist(i, i) need not be 0 (under 1 - Jaccard
-	// an empty transaction is at distance 1 from itself).
+	// When cand is every point the matrix also serves the scatter, which
+	// never reads its diagonal.
 	k := len(cand)
-	full := k == n
 	d := make([]float64, k*k)
 	for i := 0; i < k; i++ {
-		if full {
-			d[i*k+i] = dist(i, i)
-		}
 		for j := i + 1; j < k; j++ {
 			v := dist(cand[i], cand[j])
 			d[i*k+j], d[j*k+i] = v, v
@@ -94,7 +96,7 @@ func ScatterMedoid(n, count, medoidCap int, dist func(i, j int) float64, rng *ra
 			medoid, best = a, total
 		}
 	}
-	if full {
+	if k == n {
 		return Scatter(n, count, medoid, func(i, j int) float64 { return d[i*n+j] })
 	}
 	return Scatter(n, count, medoid, dist)

@@ -126,8 +126,8 @@ func TestScatterMedoidMatchesPerPair(t *testing.T) {
 
 	// 1 - Jaccard over transactions, whose diagonal is not all zero: an
 	// empty transaction is at distance 1 from itself. Up to n = medoidCap
-	// the scatter reads the medoid's matrix, diagonal included; above it
-	// the medoid comes from a subset and the scatter calls dist.
+	// the scatter reads the medoid's matrix; above it the medoid comes from
+	// a subset and the scatter calls dist.
 	for _, tc := range []struct{ n, count, medoidCap int }{
 		{12, 6, 0}, {64, 8, 64}, {100, 8, 64},
 	} {
@@ -161,5 +161,54 @@ func checkMatchesPerPair(t *testing.T, name string, n, count, medoidCap int, dis
 	}
 	if a, b := r1.Int63(), r2.Int63(); a != b {
 		t.Fatalf("%s: rng diverged after the call", name)
+	}
+}
+
+// TestScatterPicksDistinct: the scatter never chooses an index twice — not
+// when every distance is 0, and not when a point is farther from itself
+// than from the chosen set (under 1 - Jaccard an empty transaction is at
+// distance 1 from itself) — and it returns min(count, n) picks.
+func TestScatterPicksDistinct(t *testing.T) {
+	zero := func(i, j int) float64 { return 0 }
+	if got := Scatter(5, 3, 2, zero); fmt.Sprint(got) != "[2 0 1]" {
+		t.Fatalf("zero distances: Scatter = %v, want [2 0 1]", got)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(30)
+		txns := make([]dataset.Transaction, n)
+		for i := range txns {
+			if rng.Intn(4) == 0 {
+				continue // empty
+			}
+			txn := make(dataset.Transaction, 1+rng.Intn(4))
+			for k := range txn {
+				txn[k] = dataset.Item(rng.Intn(6))
+			}
+			txn.Normalize()
+			txns[i] = txn
+		}
+		dist := func(i, j int) float64 {
+			if i == j {
+				t.Fatalf("dist(%d, %d) asked", i, j)
+			}
+			return 1 - sim.Jaccard(txns[i], txns[j])
+		}
+		count := 1 + rng.Intn(n+3)
+		for name, got := range map[string][]int{
+			"Scatter":       Scatter(n, count, rng.Intn(n), dist),
+			"ScatterMedoid": ScatterMedoid(n, count, 8, dist, rng),
+		} {
+			seen := map[int]bool{}
+			for _, ix := range got {
+				if ix < 0 || ix >= n || seen[ix] {
+					t.Fatalf("trial %d: %s(n=%d, count=%d) = %v", trial, name, n, count, got)
+				}
+				seen[ix] = true
+			}
+			if len(got) != min(count, n) {
+				t.Fatalf("trial %d: %s(n=%d, count=%d) = %v, want %d picks", trial, name, n, count, got, min(count, n))
+			}
+		}
 	}
 }
