@@ -11,13 +11,16 @@ import (
 )
 
 // FuzzTextScanner feeds arbitrary bytes to the text parser: it must never
-// panic, and everything it accepts must round-trip through WriteText.
+// panic, every id it accepts lies in [0, MaxInt32], and everything it
+// accepts must round-trip through WriteText.
 func FuzzTextScanner(f *testing.F) {
 	f.Add("1 2 3\n4 5\n")
 	f.Add("")
 	f.Add("0\n\n\n9 9 9\n")
 	f.Add("-1 2\n")
 	f.Add("99999999999999999999\n")
+	f.Add("4294967297 -5 3\n")
+	f.Add("2147483647\n")
 	f.Add("a b c\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		sc := NewTextScanner(strings.NewReader(in))
@@ -30,6 +33,7 @@ func FuzzTextScanner(f *testing.F) {
 			if err != nil {
 				return // rejected input is fine; panics are not
 			}
+			checkItemRange(t, tx)
 			txns = append(txns, tx)
 		}
 		var buf bytes.Buffer
@@ -52,7 +56,8 @@ func FuzzTextScanner(f *testing.F) {
 }
 
 // FuzzBinaryScanner feeds arbitrary bytes to the binary parser: it must
-// reject or parse, never panic or over-allocate catastrophically.
+// reject or parse, never panic or over-allocate catastrophically, and every
+// transaction it accepts holds ascending ids in [0, MaxInt32].
 func FuzzBinaryScanner(f *testing.F) {
 	var good bytes.Buffer
 	WriteBinary(&good, []dataset.Transaction{
@@ -62,6 +67,7 @@ func FuzzBinaryScanner(f *testing.F) {
 	})
 	f.Add(good.Bytes())
 	f.Add([]byte("ROCK"))
+	f.Add([]byte("ROCK\x01\x02\xff\xff\xff\xff\x07\x01"))
 	f.Add([]byte("JUNKxxxx"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -70,12 +76,28 @@ func FuzzBinaryScanner(f *testing.F) {
 			return
 		}
 		for i := 0; i < 1<<16; i++ { // cap iterations against absurd counts
-			_, err := sc.Next()
+			tx, err := sc.Next()
 			if err != nil {
 				return
 			}
+			checkItemRange(t, tx)
+			for j := 1; j < len(tx); j++ {
+				if tx[j] < tx[j-1] {
+					t.Fatalf("transaction %v not ascending", tx)
+				}
+			}
 		}
 	})
+}
+
+// checkItemRange fails on an accepted id outside [0, MaxInt32].
+func checkItemRange(t *testing.T, tx dataset.Transaction) {
+	t.Helper()
+	for _, it := range tx {
+		if it < 0 {
+			t.Fatalf("accepted item %d out of range in %v", it, tx)
+		}
+	}
 }
 
 // FuzzCategorical round-trips arbitrary header/record text.

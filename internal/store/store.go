@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -71,12 +72,25 @@ func (ts *TextScanner) Next() (dataset.Transaction, error) {
 		return nil, io.EOF
 	}
 	ts.line++
-	fields := strings.Fields(ts.s.Text())
+	t, err := ParseTextLine(ts.s.Text())
+	if err != nil {
+		return nil, fmt.Errorf("store: line %d: %w", ts.line, err)
+	}
+	return t, nil
+}
+
+// ParseTextLine parses one line of the text format into a normalized
+// transaction. Every item id must lie in [0, math.MaxInt32].
+func ParseTextLine(line string) (dataset.Transaction, error) {
+	fields := strings.Fields(line)
 	t := make(dataset.Transaction, 0, len(fields))
 	for _, f := range fields {
-		v, err := strconv.Atoi(f)
+		v, err := strconv.ParseInt(f, 10, 32)
+		if err == nil && v < 0 {
+			err = errors.New("negative item id")
+		}
 		if err != nil {
-			return nil, fmt.Errorf("store: line %d: bad item %q: %v", ts.line, f, err)
+			return nil, fmt.Errorf("bad item %q: %v", f, err)
 		}
 		t = append(t, dataset.Item(v))
 	}
@@ -188,6 +202,9 @@ func (bs *BinaryScanner) Next() (dataset.Transaction, error) {
 		d, err := binary.ReadUvarint(bs.r)
 		if err != nil {
 			return nil, fmt.Errorf("store: reading item: %w", err)
+		}
+		if d > math.MaxInt32-prev {
+			return nil, fmt.Errorf("store: item delta %d after %d past the item id range", d, prev)
 		}
 		prev += d
 		t = append(t, dataset.Item(prev))

@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -67,6 +69,48 @@ func TestTextScannerBadItem(t *testing.T) {
 	sc := NewTextScanner(strings.NewReader("1 x 3\n"))
 	if _, err := sc.Next(); err == nil {
 		t.Fatal("bad item accepted")
+	}
+}
+
+// TestTextScannerItemRange: ids outside [0, MaxInt32] are errors, not
+// values wrapped into range.
+func TestTextScannerItemRange(t *testing.T) {
+	for _, line := range []string{"4294967297 -5 3", "2147483648", "1 -1", "-2147483648"} {
+		if tx, err := NewTextScanner(strings.NewReader(line + "\n")).Next(); err == nil {
+			t.Errorf("%q parsed as %v", line, tx)
+		}
+	}
+	tx, err := NewTextScanner(strings.NewReader("2147483647 0 +5\n")).Next()
+	if err != nil || !tx.Equal(dataset.NewTransaction(0, 5, math.MaxInt32)) {
+		t.Fatalf("edge ids: %v, %v", tx, err)
+	}
+}
+
+// TestBinaryScannerItemRange: a delta that carries an id past MaxInt32 is
+// an error, however large it is.
+func TestBinaryScannerItemRange(t *testing.T) {
+	encode := func(deltas ...uint64) []byte {
+		b := append([]byte("ROCK"), 1, byte(len(deltas)))
+		for _, d := range deltas {
+			b = binary.AppendUvarint(b, d)
+		}
+		return b
+	}
+	for _, deltas := range [][]uint64{{1 << 32}, {math.MaxInt32, 1}, {3, math.MaxUint64 - 1}, {1<<32 + 1}} {
+		sc, err := NewBinaryScanner(bytes.NewReader(encode(deltas...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tx, err := sc.Next(); err == nil {
+			t.Errorf("deltas %v parsed as %v", deltas, tx)
+		}
+	}
+	sc, err := NewBinaryScanner(bytes.NewReader(encode(0, math.MaxInt32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tx, err := sc.Next(); err != nil || !tx.Equal(dataset.NewTransaction(0, math.MaxInt32)) {
+		t.Fatalf("edge ids: %v, %v", tx, err)
 	}
 }
 

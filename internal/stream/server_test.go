@@ -253,3 +253,38 @@ func TestTailerFollowsFile(t *testing.T) {
 		t.Fatal("tailer did not stop on cancel")
 	}
 }
+
+// TestTailerRejectsOutOfRangeIDs: the tail parses with the text format's
+// parser, so a line with an id outside [0, MaxInt32] is reported and
+// skipped, not wrapped into range.
+func TestTailerRejectsOutOfRangeIDs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.txt")
+	if err := os.WriteFile(path, []byte("4294967297 -5 3\n1 -1\n2147483647 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan dataset.Transaction, 16)
+	bad := make(chan string, 16)
+	tl := &stream.Tailer{Path: path, Poll: 5 * time.Millisecond, FromStart: true,
+		OnError: func(line string, err error) { bad <- line }}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go tl.Run(ctx, func(txn dataset.Transaction) { got <- txn })
+	for _, want := range []string{"4294967297 -5 3", "1 -1"} {
+		select {
+		case line := <-bad:
+			if line != want {
+				t.Fatalf("rejected %q, want %q", line, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for %q to be rejected", want)
+		}
+	}
+	select {
+	case txn := <-got:
+		if !txn.Equal(dataset.NewTransaction(4, 2147483647)) {
+			t.Fatalf("tailed %v, want [4 2147483647]", txn)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the in-range line")
+	}
+}

@@ -3,15 +3,15 @@ package stream
 import (
 	"context"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"rock/internal/dataset"
+	"rock/internal/store"
 )
 
 // Tailer follows a transaction text file the way `tail -f` follows a log:
-// it polls for appended bytes, parses every complete line as a transaction,
+// it polls for appended bytes, parses every complete line as a transaction
+// (store.ParseTextLine, the text format's parser),
 // and hands it to the sink. Partial lines (a writer mid-append) stay
 // buffered until their newline arrives; a shrinking file is treated as a
 // truncate-and-rewrite and re-read from the start. The file not existing
@@ -104,7 +104,7 @@ func (t *Tailer) drain(offset, size int64, pending *[]byte, sink func(dataset.Tr
 		}
 		line := string(data[:nl])
 		data = data[nl+1:]
-		txn, perr := parseTxnLine(line)
+		txn, perr := store.ParseTextLine(line)
 		if perr != nil {
 			if t.OnError != nil {
 				t.OnError(line, perr)
@@ -117,19 +117,4 @@ func (t *Tailer) drain(offset, size int64, pending *[]byte, sink func(dataset.Tr
 	}
 	*pending = append((*pending)[:0], data...)
 	return int64(n), nil
-}
-
-// parseTxnLine parses one text-format line: space-separated item ids.
-func parseTxnLine(line string) (dataset.Transaction, error) {
-	fields := strings.Fields(line)
-	txn := make(dataset.Transaction, 0, len(fields))
-	for _, f := range fields {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		txn = append(txn, dataset.Item(v))
-	}
-	txn.Normalize()
-	return txn, nil
 }
