@@ -15,7 +15,9 @@
 #   make bench    benchmark harness (short mode)
 #   make benchjoin  brute vs indexed neighbor-join sweep + Table 3 join (full size)
 #   make benchtrain  out-of-core trainer memory-budget sweep (EXPERIMENTS.md)
-#   make benchassign  assign hot path: scan vs compiled × codec sweep + 3x guard
+#   make benchassign  both users of the count-probe kernel: scan vs compiled
+#                     assign, the stream fold (Observe, ObserveDrift), the
+#                     codec sweep + 3x guard
 #   make stream-soak  online-clustering soak: rockstream feeding a drifting
 #                     stream into a 2-replica rockd + rockgate fleet under
 #                     -race, plus the stream-vs-batch ARI equivalence gate
@@ -101,11 +103,13 @@ benchtrain:
 
 # The assign hot path (EXPERIMENTS.md "serving hot path" table): the
 # compiled posting-list assigner vs the scan reference across model shapes
-# (sets × labeled size), the JSON vs binary codec (± answer cache) at the
-# daemon handler, and the coarse regression guard — compiled must beat scan
+# (sets × labeled size); the stream fold, which probes the same
+# simjoin.Postings kernel; the JSON vs binary codec (± answer cache) at the
+# daemon handler; and the coarse regression guard — compiled must beat scan
 # by at least 3× on the reference model or the target fails.
 benchassign:
 	$(GO) test -run '^$$' -bench 'Assign(Scan|Compiled)' -benchmem ./internal/model
+	$(GO) test -run '^$$' -bench 'Observe' -benchmem ./internal/stream
 	$(GO) test -run '^$$' -bench 'HandleAssign' -benchmem ./internal/daemon
 	ROCK_ASSIGN_GUARD=1 $(GO) test ./internal/model -run TestCompiledSpeedupGuard -v
 
