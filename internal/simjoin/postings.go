@@ -51,9 +51,30 @@ type ProbeScratch struct {
 }
 
 // NewPostings indexes txns at slots 0…len(txns)-1 for the given measure and
-// threshold; txns may be empty.
+// threshold; txns may be empty. The dense items' lists are sized first and
+// carved from one array, so a static index holds them contiguously.
 func NewPostings(m Measure, theta float64, txns []dataset.Transaction) *Postings {
-	p := &Postings{m: m, theta: theta, sparse: map[dataset.Item][]int32{}}
+	p := &Postings{
+		m: m, theta: theta, sparse: map[dataset.Item][]int32{},
+		txns: make([]dataset.Transaction, 0, len(txns)), lens: make([]int32, 0, len(txns)),
+	}
+	var sizes []int32
+	total := int32(0)
+	for _, t := range txns {
+		for _, it := range t {
+			if ix := p.denseList(it); ix >= 0 {
+				if int(ix) == len(sizes) {
+					sizes = append(sizes, 0)
+				}
+				sizes[ix]++
+				total++
+			}
+		}
+	}
+	backing := make([]int32, total)
+	for ix, n := range sizes {
+		p.lists[ix], backing = backing[:0:n], backing[n:]
+	}
 	for s, t := range txns {
 		p.Add(int32(s), t)
 	}
@@ -74,6 +95,22 @@ func (p *Postings) list(it dataset.Item) []int32 {
 	return p.sparse[it]
 }
 
+// denseList returns the index of item it's list, giving it an empty one if
+// it has none, or -1 when it lies outside the dense range.
+func (p *Postings) denseList(it dataset.Item) int32 {
+	if uint(it) >= denseItems {
+		return -1
+	}
+	for int(it) >= len(p.dense) {
+		p.dense = append(p.dense, -1)
+	}
+	if p.dense[it] < 0 {
+		p.dense[it] = int32(len(p.lists))
+		p.lists = append(p.lists, nil)
+	}
+	return p.dense[it]
+}
+
 // Add indexes t at the free slot s.
 func (p *Postings) Add(s int32, t dataset.Transaction) {
 	for int(s) >= len(p.lens) {
@@ -85,19 +122,11 @@ func (p *Postings) Add(s int32, t dataset.Transaction) {
 	}
 	p.txns[s], p.lens[s] = t, int32(len(t))
 	for _, it := range t {
-		if uint(it) >= denseItems {
+		if ix := p.denseList(it); ix >= 0 {
+			p.lists[ix] = append(p.lists[ix], s)
+		} else {
 			p.sparse[it] = append(p.sparse[it], s)
-			continue
 		}
-		for int(it) >= len(p.dense) {
-			p.dense = append(p.dense, -1)
-		}
-		if p.dense[it] < 0 {
-			p.dense[it] = int32(len(p.lists))
-			p.lists = append(p.lists, nil)
-		}
-		ix := p.dense[it]
-		p.lists[ix] = append(p.lists[ix], s)
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 )
 
 // Tailer follows a transaction text file the way `tail -f` follows a log:
-// it polls for appended bytes, parses every complete line as a transaction
-// (store.ParseTextLine, the text format's parser),
-// and hands it to the sink. Partial lines (a writer mid-append) stay
-// buffered until their newline arrives; a shrinking file is treated as a
-// truncate-and-rewrite and re-read from the start. The file not existing
-// yet is not an error — the tailer waits for it.
+// it polls for appended bytes, parses every complete line with the text
+// format's parser (store.ParseTextLine), and hands the transaction to the
+// sink. Partial lines (a writer mid-append) stay buffered until their
+// newline arrives; a shrinking file is treated as a truncate-and-rewrite
+// and re-read from the start. The file not existing yet is not an error —
+// the tailer waits for it.
 type Tailer struct {
 	// Path is the file to follow.
 	Path string
