@@ -57,7 +57,7 @@ func FuzzTextScanner(f *testing.F) {
 
 // FuzzBinaryScanner feeds arbitrary bytes to the binary parser: it must
 // reject or parse, never panic or over-allocate catastrophically, and every
-// transaction it accepts holds ascending ids in [0, MaxInt32].
+// id it accepts lies in [0, MaxInt32].
 func FuzzBinaryScanner(f *testing.F) {
 	var good bytes.Buffer
 	WriteBinary(&good, []dataset.Transaction{
@@ -81,11 +81,6 @@ func FuzzBinaryScanner(f *testing.F) {
 				return
 			}
 			checkItemRange(t, tx)
-			for j := 1; j < len(tx); j++ {
-				if tx[j] < tx[j-1] {
-					t.Fatalf("transaction %v not ascending", tx)
-				}
-			}
 		}
 	})
 }

@@ -142,6 +142,9 @@ func WriteBinary(w io.Writer, txns []dataset.Transaction) error {
 		}
 		prev := dataset.Item(0)
 		for _, it := range t {
+			if it < 0 {
+				return fmt.Errorf("store: item %d out of range", it)
+			}
 			if err := put(uint64(it - prev)); err != nil {
 				return err
 			}
@@ -203,10 +206,12 @@ func (bs *BinaryScanner) Next() (dataset.Transaction, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: reading item: %w", err)
 		}
-		if d > math.MaxInt32-prev {
-			return nil, fmt.Errorf("store: item delta %d after %d past the item id range", d, prev)
-		}
+		// Deltas add mod 2^64: WriteBinary encodes a step down to a smaller
+		// id as a wrapped delta.
 		prev += d
+		if prev > math.MaxInt32 {
+			return nil, fmt.Errorf("store: item %d out of range", prev)
+		}
 		t = append(t, dataset.Item(prev))
 	}
 	return t, nil

@@ -86,8 +86,9 @@ func TestTextScannerItemRange(t *testing.T) {
 	}
 }
 
-// TestBinaryScannerItemRange: a delta that carries an id past MaxInt32 is
-// an error, however large it is.
+// TestBinaryScannerItemRange: a delta that carries an id outside
+// [0, MaxInt32] is an error, however large it is; a wrapped delta that
+// steps down to a smaller id is not, and WriteBinary refuses negative ids.
 func TestBinaryScannerItemRange(t *testing.T) {
 	encode := func(deltas ...uint64) []byte {
 		b := append([]byte("ROCK"), 1, byte(len(deltas)))
@@ -96,7 +97,7 @@ func TestBinaryScannerItemRange(t *testing.T) {
 		}
 		return b
 	}
-	for _, deltas := range [][]uint64{{1 << 32}, {math.MaxInt32, 1}, {3, math.MaxUint64 - 1}, {1<<32 + 1}} {
+	for _, deltas := range [][]uint64{{1 << 32}, {math.MaxInt32, 1}, {3, math.MaxUint64 - 5}, {1<<32 + 1}} {
 		sc, err := NewBinaryScanner(bytes.NewReader(encode(deltas...)))
 		if err != nil {
 			t.Fatal(err)
@@ -111,6 +112,19 @@ func TestBinaryScannerItemRange(t *testing.T) {
 	}
 	if tx, err := sc.Next(); err != nil || !tx.Equal(dataset.NewTransaction(0, math.MaxInt32)) {
 		t.Fatalf("edge ids: %v, %v", tx, err)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, []dataset.Transaction{{5, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if sc, err = NewBinaryScanner(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if tx, err := sc.Next(); err != nil || !tx.Equal(dataset.Transaction{5, 3}) {
+		t.Fatalf("unsorted round trip: %v, %v", tx, err)
+	}
+	if err := WriteBinary(io.Discard, []dataset.Transaction{{-1, 2}}); err == nil {
+		t.Fatal("WriteBinary accepted a negative id")
 	}
 }
 
